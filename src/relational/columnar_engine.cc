@@ -128,6 +128,8 @@ namespace {
 // string dictionary interning every string seen by the query, and the
 // converted base tables (whose vectors back the leaf column spans).
 struct Ctx {
+  explicit Ctx(const Database& database) : db(database) {}
+
   const Database& db;
   Arena arena;
   StringDictionary dict;
@@ -400,7 +402,7 @@ struct BatchMetricsScope {
 }  // namespace
 
 Result<Relation> EvaluateColumnar(const QueryNode& node, const Database& db) {
-  Ctx ctx{db};
+  Ctx ctx(db);
   BatchMetricsScope metrics_scope{ctx};
   LICM_ASSIGN_OR_RETURN(BatchView out, EvalNode(node, &ctx));
   return BatchToRelation(out, ctx.dict, &ctx.arena);
@@ -412,7 +414,7 @@ Result<double> EvaluateAggregateColumnar(const QueryNode& node,
     return Status::InvalidArgument("EvaluateAggregate requires kCountStar "
                                    "or kSum at the root");
   }
-  Ctx ctx{db};
+  Ctx ctx(db);
   BatchMetricsScope metrics_scope{ctx};
   LICM_ASSIGN_OR_RETURN(BatchView in, EvalNode(*node.left, &ctx));
   DeduplicateBatch(&in, &ctx.arena);

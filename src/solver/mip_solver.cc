@@ -9,17 +9,13 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-
-#include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/stopwatch.h"
 #include "common/telemetry.h"
 #include "solver/canonical.h"
 #include "solver/components.h"
-#include "solver/cuts.h"
 #include "solver/presolve.h"
 #include "solver/propagation.h"
 #include "solver/scheduler.h"
@@ -40,9 +36,14 @@ struct ComponentResult {
   std::vector<double> solution;
 };
 
-bool AllIntegral(const LinearProgram& lp) {
+bool HasContinuous(const LinearProgram& lp) {
   for (const auto& v : lp.vars())
-    if (!v.is_integer) return false;
+    if (!v.is_integer) return true;
+  return false;
+}
+
+bool AllIntegral(const LinearProgram& lp) {
+  if (HasContinuous(lp)) return false;
   for (double c : lp.objective())
     if (std::abs(c - std::round(c)) > 1e-9) return false;
   return true;
@@ -60,22 +61,11 @@ double ActivityBound(const LinearProgram& lp, const Domains& dom) {
 }
 
 constexpr VarId kNoVar = std::numeric_limits<VarId>::max();
-constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 
-// Serialized identity of a cut row for deduplication in the component
-// registry (variable ids, coefficient signs, rounded rhs).
-std::string CutKeyString(const Row& row) {
-  std::string key;
-  key.reserve(row.terms.size() * 6 + 8);
-  for (const Term& t : row.terms) {
-    key.push_back(t.coef > 0 ? '+' : '-');
-    key.append(std::to_string(t.var));
-    key.push_back(',');
-  }
-  key.push_back('|');
-  key.append(std::to_string(std::llround(row.rhs * 4.0)));
-  return key;
-}
+// Components above this many variables search without the node LP: the
+// dense tableau grows quadratically while warm re-solves stay cheap only
+// on small components.
+constexpr size_t kLpMaxVars = 400;
 
 // Branch & bound over one connected component. When `scheduler` is
 // non-null the search may go parallel: once a depth-first strand has run
@@ -92,29 +82,20 @@ std::string CutKeyString(const Row& row) {
 // of a Domains copy per node), applies its bound change, and propagates.
 // Probing and dives run on the same trail. Each strand also carries one
 // IncrementalLp: the node relaxation warm-starts from whatever basis the
-// previous node left, and its duals feed reduced-cost fixing and
-// pseudo-cost branching. Donated subtrees materialize their Domains from
-// the donor's trail and inherit the donor's basis snapshot.
+// previous node left, and its reduced costs drive reduced-cost fixing.
+// Donated subtrees materialize their Domains from the donor's trail and
+// inherit the donor's basis snapshot.
 class ComponentSearch {
  public:
   ComponentSearch(const LinearProgram& lp, const MipOptions& opt,
                   const Deadline& deadline, Scheduler* scheduler,
-                  MipStats* stats, int64_t trace_id = 0,
-                  const CanonicalForm* form = nullptr)
+                  MipStats* stats, int64_t trace_id = 0)
       : lp_(lp), opt_(opt), deadline_(deadline), scheduler_(scheduler),
-        stats_(stats), trace_id_(trace_id), form_(form), propagator_(lp),
+        stats_(stats), trace_id_(trace_id), propagator_(lp),
         integral_(AllIntegral(lp)),
-        lp_warm_(opt.use_lp_bound && opt.use_warm_lp &&
-                 lp.num_vars() <= opt.warm_lp_max_vars &&
-                 IncrementalLp::Suitable(lp, SimplexOptions{})),
-        lp_at_nodes_(opt.use_lp_bound &&
-                     (lp.num_vars() <= opt.lp_bound_max_vars || lp_warm_)) {
-    if (opt.use_pseudo_cost) {
-      for (int dir = 0; dir < 2; ++dir) {
-        pc_sum_[dir].assign(lp.num_vars(), 0.0);
-        pc_cnt_[dir].assign(lp.num_vars(), 0);
-      }
-    }
+        has_continuous_(HasContinuous(lp)),
+        use_lp_(opt.use_lp_bound && lp.num_vars() <= kLpMaxVars &&
+                IncrementalLp::Suitable(lp, SimplexOptions{})) {
     // Index SOS1-style rows (sum of binaries = 1): branching on a whole
     // row (one child per candidate assignee) fixes a permutation slot at a
     // time, which propagates far better than 0/1 branching on one binary.
@@ -196,17 +177,15 @@ class ComponentSearch {
     root_strand.dom = Domains::FromProgram(lp_);
     if (propagator_.Run(&root_strand.dom, nullptr, nullptr,
                         &root_strand.scratch) == PropagateResult::kFixpoint) {
-      // Adaptive prologue (use_adaptive_prologue): one objective-guided
-      // dive first — heuristic 1 drives every objective variable to its
-      // preferred bound before touching filler variables, so when that
-      // corner is feasible the incumbent equals the root activity bound
-      // outright and both the singleton-probing sweep and the remaining
-      // dives are pure overhead (on aggregate queries the objective
-      // touches a few dozen variables of a 20k-variable component). Each
-      // stage below runs only while the gap stays open. With the flag off
-      // this reproduces the legacy fixed prologue: full probing sweep,
-      // then all three dives, unconditionally.
-      if (opt_.use_adaptive_prologue) {
+      // Adaptive prologue: one objective-guided dive first — heuristic 1
+      // drives every objective variable to its preferred bound before
+      // touching filler variables, so when that corner is feasible the
+      // incumbent equals the root activity bound outright and both the
+      // singleton-probing sweep and the remaining dives are pure overhead
+      // (on aggregate queries the objective touches a few dozen variables
+      // of a 20k-variable component). Each later stage runs only while
+      // the gap stays open.
+      {
         LICM_TRACE_SPAN("solver", "dives");
         // Cheapest first: if the objective-preferred corner of the
         // propagated box satisfies every row outright (one O(nnz) sweep),
@@ -215,7 +194,7 @@ class ComponentSearch {
           GreedyDive(&root_strand, 1);
         }
       }
-      if (!opt_.use_adaptive_prologue || !RootGapClosed(root_strand.dom)) {
+      if (!RootGapClosed(root_strand.dom)) {
         LICM_TRACE_SPAN("solver", "probe_root");
         if (opt_.use_probing && !ProbeRoot(&root_strand)) {
           res.status = SolveStatus::kInfeasible;
@@ -226,10 +205,7 @@ class ComponentSearch {
       // Remaining dives: seed the incumbent from other corners so search
       // starts with a primal bound to prune against. Single-threaded —
       // parallel strands only exist below.
-      if (!opt_.use_adaptive_prologue) {
-        LICM_TRACE_SPAN("solver", "dives");
-        for (int heur = 0; heur < 3; ++heur) GreedyDive(&root_strand, heur);
-      } else if (!RootGapClosed(root_strand.dom)) {
+      if (!RootGapClosed(root_strand.dom)) {
         LICM_TRACE_SPAN("solver", "dives");
         for (int heur : {0, 2}) {
           GreedyDive(&root_strand, heur);
@@ -237,10 +213,11 @@ class ComponentSearch {
         }
       }
 
-      // Root LP: warm state, pooled cuts, root cut separation, and strong
-      // branching — all before any parallel strand exists.
+      // Root LP, before any parallel strand exists: its bound is inherited
+      // by the whole tree, and an infeasible relaxation proves the
+      // component infeasible.
       double root_bound = kInfinity;
-      if (lp_warm_ && !RootLpSetup(&root_strand, &root_bound)) {
+      if (use_lp_ && !RootLp(&root_strand, &root_bound)) {
         res.status = SolveStatus::kInfeasible;
         stats_->cpu_seconds += prep_clock.ElapsedSeconds();
         return res;
@@ -261,12 +238,6 @@ class ComponentSearch {
         if (group) group->Wait();  // donated strands merge their stats
         group_ = nullptr;
         MergeLocalStats(local);
-      }
-      // Cuts survive the search — valid rows for every later isomorphic
-      // component even when this solve itself hit a limit.
-      if (opt_.use_cuts && opt_.cut_pool != nullptr && form_ != nullptr) {
-        std::lock_guard<std::mutex> lock(cuts_mu_);
-        if (!cuts_.empty()) opt_.cut_pool->Store(*form_, cuts_);
       }
     } else {
       res.status = SolveStatus::kInfeasible;
@@ -312,12 +283,6 @@ class ComponentSearch {
     // Tightest bound inherited from ancestors (their LP/activity bounds
     // remain valid for this subregion). +inf at the root.
     double inherited = kInfinity;
-    // Parent relaxation objective and this child's fractional distance,
-    // for the pseudo-cost observation when this child's relaxation
-    // solves. pc_dist < 0 => no observation (no parent LP, SOS1 child).
-    double parent_obj = kNan;
-    double pc_dist = -1.0;
-    int8_t dir = 0;  // 0 = down child, 1 = up child
   };
 
   // One depth-first search strand: shared Domains + undo trail + decision
@@ -330,8 +295,7 @@ class ComponentSearch {
     std::vector<Decision> stack;
     PropagationScratch scratch;
     std::unique_ptr<IncrementalLp> lp;
-    size_t applied_cuts = 0;  // prefix of cuts_ already in `lp`
-    LpBasis seed_basis;       // donor basis for warm-starting
+    LpBasis seed_basis;  // donor basis for warm-starting
   };
 
   // Singleton-consistency probing at the root: for every unfixed binary,
@@ -349,14 +313,14 @@ class ComponentSearch {
     uint32_t since_check = 0;
     while (changed && rounds++ < 3) {
       changed = false;
-      if (opt_.use_adaptive_prologue && RootGapClosed(dom)) return true;
+      if (RootGapClosed(dom)) return true;
       for (VarId v = 0; v < lp_.num_vars(); ++v) {
         if (!lp_.vars()[v].is_integer) continue;
         if (dom.upper[v] - dom.lower[v] < 0.5) continue;
         if (deadline_.Expired()) return true;
         // Committed fixings tighten the activity bound as the sweep runs;
         // once it meets the incumbent the rest of the sweep is moot.
-        if (opt_.use_adaptive_prologue && ++since_check >= 512) {
+        if (++since_check >= 512) {
           since_check = 0;
           if (RootGapClosed(dom)) return true;
         }
@@ -438,9 +402,7 @@ class ComponentSearch {
   // activity bound by construction — and returns true. One O(nnz) sweep;
   // integral components only (fractional bounds could need rounding).
   bool TryPreferredCorner(const Domains& dom) {
-    for (const auto& v : lp_.vars()) {
-      if (!v.is_integer) return false;
-    }
+    if (has_continuous_) return false;
     std::vector<double> x(lp_.num_vars());
     for (VarId v = 0; v < lp_.num_vars(); ++v) {
       x[v] = lp_.objective_coef(v) > 0 ? dom.upper[v] : dom.lower[v];
@@ -467,9 +429,7 @@ class ComponentSearch {
   // returning.
   void GreedyDive(Strand* s, int heur) {
     // Dives only apply to pure-integer components (always true for LICM).
-    for (const auto& v : lp_.vars()) {
-      if (!v.is_integer) return;
-    }
+    if (has_continuous_) return;
     Domains& dom = s->dom;
     const size_t base = s->trail.Mark();
     // Pick order, fixed up front: scanning all variables per pick is
@@ -534,50 +494,22 @@ class ComponentSearch {
     s->trail.UnwindTo(base, &dom);
   }
 
-  // Lazily creates the strand's warm LP state, replays the shared cut
-  // registry into it, and warm-starts from the donor basis if one was
-  // inherited (a column-count mismatch — the registry grew since the
-  // donor's snapshot — falls back to a cold basis inside RestoreBasis).
+  // Lazily creates the strand's warm LP state, warm-started from the donor
+  // basis if one was inherited.
   void EnsureLp(Strand* s) {
     if (s->lp != nullptr) return;
     s->lp = std::make_unique<IncrementalLp>(lp_, SimplexOptions{});
-    ApplyNewCuts(s);
     if (!s->seed_basis.empty()) s->lp->RestoreBasis(s->seed_basis);
   }
 
-  // Appends every registry cut this strand's LP has not absorbed yet.
-  void ApplyNewCuts(Strand* s) {
-    if (!opt_.use_cuts || s->lp == nullptr) return;
-    std::lock_guard<std::mutex> lock(cuts_mu_);
-    for (size_t i = s->applied_cuts; i < cuts_.size(); ++i) {
-      s->lp->AddCutRow(cuts_[i]);
-    }
-    s->applied_cuts = cuts_.size();
-  }
-
-  // Separates cardinality cuts at the fractional vertex `x`, registers the
-  // unseen ones (deduped across strands), and replays them into this
-  // strand's LP. Returns how many new cuts were registered.
-  int SeparateCuts(Strand* s, const std::vector<double>& x, MipStats* stats) {
-    CutOptions copt;
-    copt.max_cuts = opt_.max_cuts_per_component;
-    std::vector<Row> gen = GenerateCardinalityCuts(lp_, x, copt);
-    int added = 0;
-    {
-      std::lock_guard<std::mutex> lock(cuts_mu_);
-      for (Row& r : gen) {
-        if (cuts_.size() >=
-            static_cast<size_t>(opt_.max_cuts_per_component)) {
-          break;
-        }
-        if (!cut_keys_.insert(CutKeyString(r)).second) continue;
-        cuts_.push_back(std::move(r));
-        ++added;
-      }
-    }
-    stats->cuts_generated += added;
-    if (added > 0) ApplyNewCuts(s);
-    return added;
+  // One node relaxation under the strand's current domains, counted.
+  SolveStatus SolveNodeLp(Strand* s, MipStats* stats) {
+    const SolveStatus st = s->lp->Solve(s->dom.lower, s->dom.upper);
+    ++stats->lp_solves;
+    stats->lp_pivots += s->lp->last_pivots();
+    stats->max_resolve_pivots =
+        std::max(stats->max_resolve_pivots, s->lp->last_pivots());
+    return st;
   }
 
   // Reduced-cost fixing after an optimal node relaxation: a nonbasic
@@ -621,156 +553,18 @@ class ComponentSearch {
     return static_cast<int>(fixed.size());
   }
 
-  // Accumulates one pseudo-cost observation: objective degradation per
-  // unit of enforced fractional distance for branching `v` in direction
-  // `dir` (0 = down, 1 = up).
-  void RecordPseudoCost(VarId v, int dir, double deg) {
-    if (!(deg >= 0.0)) deg = 0.0;  // guards NaN and negative degradations
-    std::lock_guard<std::mutex> lock(pc_mu_);
-    pc_sum_[dir][v] += deg;
-    ++pc_cnt_[dir][v];
-  }
-
-  // Pseudo-cost branching rule: product of estimated down/up degradations,
-  // with the global average as prior for unobserved variables. Returns
-  // kNoVar when no integer variable is fractional in `x`.
-  VarId SelectPseudoCost(const Domains& dom, const std::vector<double>& x,
-                         double* frac_out) {
-    std::lock_guard<std::mutex> lock(pc_mu_);
-    double avg[2] = {1.0, 1.0};
-    for (int dir = 0; dir < 2; ++dir) {
-      double sum = 0.0;
-      int64_t cnt = 0;
-      for (VarId v = 0; v < lp_.num_vars(); ++v) {
-        sum += pc_sum_[dir][v];
-        cnt += pc_cnt_[dir][v];
-      }
-      if (cnt > 0) avg[dir] = sum / static_cast<double>(cnt);
-    }
-    VarId best = kNoVar;
-    double best_score = -1.0;
-    for (VarId v = 0; v < lp_.num_vars(); ++v) {
-      if (!lp_.vars()[v].is_integer) continue;
-      if (dom.upper[v] - dom.lower[v] <= 0.5) continue;
-      const double f = x[v] - std::floor(x[v]);
-      if (f <= opt_.tol || f >= 1.0 - opt_.tol) continue;
-      const double down =
-          pc_cnt_[0][v] > 0 ? pc_sum_[0][v] / pc_cnt_[0][v] : avg[0];
-      const double up =
-          pc_cnt_[1][v] > 0 ? pc_sum_[1][v] / pc_cnt_[1][v] : avg[1];
-      const double score =
-          std::max(down * f, 1e-6) * std::max(up * (1.0 - f), 1e-6);
-      if (score > best_score + 1e-12) {
-        best_score = score;
-        best = v;
-      }
-    }
-    if (best != kNoVar) *frac_out = x[best];
-    return best;
-  }
-
-  // Root LP work, all before any parallel strand exists: builds the root
-  // strand's warm state, replays pooled cuts from isomorphic components,
-  // separates a few rounds of fresh root cuts, and seeds the pseudo-cost
-  // tables by strong branching. Returns false when the relaxation (with
-  // globally valid cuts) is infeasible — a proof that the component is.
-  bool RootLpSetup(Strand* s, double* root_bound) {
+  // Root relaxation, solved before any parallel strand exists. Returns
+  // false when it is infeasible — a proof that the component is.
+  bool RootLp(Strand* s, double* root_bound) {
     LICM_TRACE_SPAN("solver", "root_lp");
     EnsureLp(s);
-    if (opt_.use_cuts && opt_.cut_pool != nullptr && form_ != nullptr) {
-      std::vector<Row> pooled = opt_.cut_pool->Fetch(*form_);
-      int added = 0;
-      {
-        std::lock_guard<std::mutex> lock(cuts_mu_);
-        for (Row& r : pooled) {
-          if (cuts_.size() >=
-              static_cast<size_t>(opt_.max_cuts_per_component)) {
-            break;
-          }
-          if (!cut_keys_.insert(CutKeyString(r)).second) continue;
-          cuts_.push_back(std::move(r));
-          ++added;
-        }
-      }
-      stats_->cuts_reused += added;
-      if (added > 0) ApplyNewCuts(s);
-    }
-    auto solve = [&] {
-      const SolveStatus st = s->lp->Solve(s->dom.lower, s->dom.upper);
-      ++stats_->lp_solves;
-      ++stats_->warm_lp_solves;
-      stats_->lp_pivots += s->lp->last_pivots();
-      stats_->max_resolve_pivots =
-          std::max(stats_->max_resolve_pivots, s->lp->last_pivots());
-      return st;
-    };
-    SolveStatus st = solve();
+    const SolveStatus st = SolveNodeLp(s, stats_);
     if (st == SolveStatus::kInfeasible) return false;
-    if (st == SolveStatus::kOptimal && opt_.use_cuts) {
-      for (int round = 0; round < 4; ++round) {
-        if (SeparateCuts(s, s->lp->values(), stats_) == 0) break;
-        st = solve();
-        if (st == SolveStatus::kInfeasible) return false;
-        if (st != SolveStatus::kOptimal) break;
-      }
-    }
     if (st == SolveStatus::kOptimal) {
       *root_bound = s->lp->objective();
       if (integral_) *root_bound = std::floor(*root_bound + opt_.tol);
-      if (opt_.use_pseudo_cost) StrongBranchRoot(s);
     }
     return true;
-  }
-
-  // Strong branching at the component root: probes both directions of the
-  // most fractional variables by direct bound mutation + warm re-solve
-  // (single-threaded here, so no trail needed) and records the observed
-  // degradations as pseudo-cost seeds. Leaves the LP re-solved at the true
-  // root bounds.
-  void StrongBranchRoot(Strand* s) {
-    const double root_obj = s->lp->objective();
-    const std::vector<double> x = s->lp->values();  // re-solves overwrite
-    Domains& dom = s->dom;
-    std::vector<std::pair<double, VarId>> cands;
-    for (VarId v = 0; v < lp_.num_vars(); ++v) {
-      if (!lp_.vars()[v].is_integer) continue;
-      if (dom.upper[v] - dom.lower[v] <= 0.5) continue;
-      const double f = std::abs(x[v] - std::round(x[v]));
-      if (f > opt_.tol) cands.emplace_back(f, v);
-    }
-    std::sort(cands.begin(), cands.end(), [](const auto& a, const auto& b) {
-      return a.first > b.first || (a.first == b.first && a.second < b.second);
-    });
-    if (opt_.strong_branch_candidates >= 0 &&
-        cands.size() > static_cast<size_t>(opt_.strong_branch_candidates)) {
-      cands.resize(static_cast<size_t>(opt_.strong_branch_candidates));
-    }
-    for (const auto& [f, v] : cands) {
-      if (deadline_.Expired()) break;
-      const double split = std::floor(x[v]);
-      const double frac = x[v] - split;
-      const double lo = dom.lower[v], hi = dom.upper[v];
-      dom.upper[v] = std::max(split, lo);  // down probe: x[v] <= split
-      SolveStatus st = s->lp->Solve(dom.lower, dom.upper);
-      ++stats_->strong_branch_solves;
-      stats_->lp_pivots += s->lp->last_pivots();
-      if (st == SolveStatus::kOptimal) {
-        RecordPseudoCost(
-            v, 0, (root_obj - s->lp->objective()) / std::max(frac, 1e-6));
-      }
-      dom.upper[v] = hi;
-      dom.lower[v] = std::min(split + 1.0, hi);  // up probe: >= split + 1
-      st = s->lp->Solve(dom.lower, dom.upper);
-      ++stats_->strong_branch_solves;
-      stats_->lp_pivots += s->lp->last_pivots();
-      if (st == SolveStatus::kOptimal) {
-        RecordPseudoCost(v, 1, (root_obj - s->lp->objective()) /
-                                   std::max(1.0 - frac, 1e-6));
-      }
-      dom.lower[v] = lo;
-    }
-    s->lp->Solve(dom.lower, dom.upper);
-    stats_->lp_pivots += s->lp->last_pivots();
   }
 
   // One depth-first strand. Sequential runs have exactly one strand;
@@ -842,39 +636,25 @@ class ComponentSearch {
       if (integral_) bound = std::floor(bound + opt_.tol);
       if (Cut(bound)) continue;
 
-      // LP relaxation at the node. The warm path re-solves the strand's
-      // incremental state from the previous basis in a few dual pivots and
-      // feeds reduced-cost fixing, cut separation, and pseudo-cost data;
-      // the cold path is one SolveLpRelaxation call on a bounded copy.
+      // LP relaxation at the node: the strand's warm state re-solves from
+      // the previous node's basis in a few dual pivots. Its bound prunes,
+      // its reduced costs fix variables against the incumbent (then one
+      // re-solve), an integral vertex is an incumbent, and otherwise the
+      // most fractional variable is branched on.
       VarId branch_var = kNoVar;
       double frac_target = -1.0;  // LP value of the branch variable
-      double lp_obj = kNan;       // node relaxation objective if optimal
-      if (lp_at_nodes_ && lp_warm_) {
+      if (use_lp_) {
         EnsureLp(s);
-        ApplyNewCuts(s);
         bool prune = false;
         bool did_rc = false;
-        bool did_cuts = false;
-        bool pc_recorded = false;
         for (;;) {
-          const SolveStatus st = s->lp->Solve(dom.lower, dom.upper);
-          ++stats->lp_solves;
-          ++stats->warm_lp_solves;
-          stats->lp_pivots += s->lp->last_pivots();
-          stats->max_resolve_pivots =
-              std::max(stats->max_resolve_pivots, s->lp->last_pivots());
+          const SolveStatus st = SolveNodeLp(s, stats);
           if (st == SolveStatus::kInfeasible) {
             prune = true;
             break;
           }
           if (st != SolveStatus::kOptimal) break;  // keep activity bound
-          lp_obj = s->lp->objective();
-          if (!pc_recorded && opt_.use_pseudo_cost && d.var != kNoVar &&
-              !std::isnan(d.parent_obj) && d.pc_dist > 1e-6) {
-            pc_recorded = true;
-            RecordPseudoCost(d.var, d.dir,
-                             (d.parent_obj - lp_obj) / d.pc_dist);
-          }
+          const double lp_obj = s->lp->objective();
           double lpb = lp_obj;
           if (integral_) lpb = std::floor(lpb + opt_.tol);
           bound = std::min(bound, lpb);
@@ -882,8 +662,7 @@ class ComponentSearch {
             prune = true;
             break;
           }
-          if (!did_rc && opt_.use_rc_fixing &&
-              has_incumbent_.load(std::memory_order_relaxed)) {
+          if (!did_rc && has_incumbent_.load(std::memory_order_relaxed)) {
             did_rc = true;
             const int fixed = RcFix(s, lp_obj, stats);
             if (fixed < 0) {
@@ -917,58 +696,11 @@ class ComponentSearch {
             prune = true;
             break;
           }
-          if (!did_cuts && opt_.use_cuts) {
-            did_cuts = true;
-            if (SeparateCuts(s, x, stats) > 0) continue;  // one re-solve
-          }
           branch_var = most_frac;
           frac_target = x[most_frac];
-          if (opt_.use_pseudo_cost) {
-            double pf = -1.0;
-            const VarId pv = SelectPseudoCost(dom, x, &pf);
-            if (pv != kNoVar) {
-              branch_var = pv;
-              frac_target = pf;
-            }
-          }
           break;
         }
         if (prune) continue;
-      } else if (lp_at_nodes_) {
-        LpSolution rel = SolveWithDomains(dom);
-        ++stats->lp_solves;
-        if (rel.status == SolveStatus::kInfeasible) continue;
-        if (rel.status == SolveStatus::kOptimal) {
-          lp_obj = rel.objective;
-          double lpb = lp_obj;
-          if (integral_) lpb = std::floor(lpb + opt_.tol);
-          bound = std::min(bound, lpb);
-          if (Cut(bound)) continue;
-          // Integral LP solutions are incumbents for free.
-          VarId most_frac = kNoVar;
-          double best_frac = opt_.tol;
-          for (VarId v = 0; v < lp_.num_vars(); ++v) {
-            if (!lp_.vars()[v].is_integer) continue;
-            const double f =
-                std::abs(rel.values[v] - std::round(rel.values[v]));
-            if (f > best_frac && dom.upper[v] - dom.lower[v] > 0.5) {
-              best_frac = f;
-              most_frac = v;
-            }
-          }
-          if (most_frac == kNoVar) {
-            std::vector<double> x = rel.values;
-            for (VarId v = 0; v < lp_.num_vars(); ++v) {
-              if (lp_.vars()[v].is_integer) x[v] = std::round(x[v]);
-            }
-            const double val = lp_.EvalObjective(x);
-            OfferIncumbent(val, std::move(x));
-            continue;
-          }
-          branch_var = most_frac;
-          frac_target = rel.values[most_frac];
-        }
-        // kTimeLimit / kUnbounded from the relaxation: keep activity bound.
       }
 
       // No LP-guided choice: pick the unfixed integer variable most
@@ -996,6 +728,11 @@ class ComponentSearch {
             best_score = score;
             branch_var = v;
           }
+        }
+        if (branch_var == kNoVar && has_continuous_) {
+          // All integer variables fixed: the continuous rest is an LP.
+          SolveMixedLeaf(dom, bound, stats);
+          continue;
         }
         if (branch_var == kNoVar) {
           // All integer variables fixed; propagation fixpoint on fully
@@ -1049,12 +786,8 @@ class ComponentSearch {
       const bool prefer_up =
           frac_target >= 0.0 ? (frac_target - split > 0.5) : (c > 0);
 
-      Decision down{mark,   branch_var, lo,
-                    split,  bound,      lp_obj,
-                    frac_target >= 0.0 ? frac_target - split : -1.0, 0};
-      Decision up{mark,     branch_var,  split + 1.0,
-                  hi,       bound,       lp_obj,
-                  frac_target >= 0.0 ? split + 1.0 - frac_target : -1.0, 1};
+      const Decision down{mark, branch_var, lo, split, bound};
+      const Decision up{mark, branch_var, split + 1.0, hi, bound};
 
       if (prefer_up) {
         s->stack.push_back(down);
@@ -1181,13 +914,29 @@ class ComponentSearch {
     return b;
   }
 
-  LpSolution SolveWithDomains(const Domains& dom) const {
-    LinearProgram sub = lp_;  // cheap: component programs are small
-    for (VarId v = 0; v < sub.num_vars(); ++v) {
-      sub.mutable_vars()[v].lower = dom.lower[v];
-      sub.mutable_vars()[v].upper = dom.upper[v];
+  // A leaf of a mixed component: every integer variable is fixed, so the
+  // leaf's optimum is the LP over the continuous variables on the fixed
+  // box (rows need not hold at the propagation fixpoint while continuous
+  // variables are still free). A leaf LP that cannot be solved (pivot or
+  // size cap, unbounded) stops the search with `bound` kept as open, so
+  // the result degrades to a valid interval.
+  void SolveMixedLeaf(const Domains& dom, double bound, MipStats* stats) {
+    LinearProgram leaf = lp_;
+    for (VarId v = 0; v < leaf.num_vars(); ++v) {
+      leaf.mutable_vars()[v].lower = dom.lower[v];
+      leaf.mutable_vars()[v].upper = dom.upper[v];
     }
-    return SolveLpRelaxation(sub, Sense::kMaximize);
+    LpSolution rel = SolveLpRelaxation(leaf, Sense::kMaximize);
+    ++stats->lp_solves;
+    if (rel.status == SolveStatus::kInfeasible) return;
+    if (rel.status != SolveStatus::kOptimal) {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_bound_ = std::max(open_bound_, bound);
+      stopped_.store(true, std::memory_order_relaxed);
+      return;
+    }
+    const double val = lp_.EvalObjective(rel.values);
+    OfferIncumbent(val, std::move(rel.values));
   }
 
   const LinearProgram& lp_;
@@ -1196,25 +945,11 @@ class ComponentSearch {
   Scheduler* const scheduler_;  // null => splitting disabled
   MipStats* stats_;             // merged into under stats_mu_
   const int64_t trace_id_;      // component id in telemetry events
-  const CanonicalForm* form_;   // cut-pool key (null => no pooling)
   Propagator propagator_;       // Run() is const and stateless: shared
   const bool integral_;
-  const bool lp_warm_;      // strands keep warm IncrementalLp states
-  const bool lp_at_nodes_;  // some LP bound (warm or cold) at every node
+  const bool has_continuous_;
+  const bool use_lp_;  // strands keep warm IncrementalLp states
   std::vector<int32_t> sos1_of_var_;
-
-  // Cut registry shared by all strands: each strand's LP has absorbed the
-  // prefix cuts_[0 .. strand.applied_cuts); ApplyNewCuts replays the rest.
-  // cut_keys_ dedupes across strands. Guarded by cuts_mu_.
-  std::mutex cuts_mu_;
-  std::vector<Row> cuts_;
-  std::unordered_set<std::string> cut_keys_;
-
-  // Pseudo-cost tables per direction (0 = down, 1 = up), guarded by
-  // pc_mu_. Sized in the constructor iff use_pseudo_cost.
-  std::mutex pc_mu_;
-  std::vector<double> pc_sum_[2];
-  std::vector<int32_t> pc_cnt_[2];
 
   // State shared by all strands of this component's search. The atomics
   // are monotone signals (relaxed ordering suffices: a stale read costs
@@ -1378,7 +1113,7 @@ std::vector<ComponentResult> SolveBatch(
       telemetry::ScopedSpan span("solver", "search");
       span.AddArg("component", static_cast<double>(i));
       ComponentSearch search(*programs[i], opt, deadline, scheduler,
-                             task_stats, static_cast<int64_t>(i), &forms[i]);
+                             task_stats, static_cast<int64_t>(i));
       seed_from_pool(&search, forms[i], task_stats);
       results[i] = search.Run();
       const ComponentResult& res = results[i];
@@ -1399,8 +1134,7 @@ std::vector<ComponentResult> SolveBatch(
     telemetry::ScopedSpan span("solver", "search");
     span.AddArg("component", static_cast<double>(i));
     ComponentSearch search(*programs[i], opt, deadline, scheduler, task_stats,
-                           static_cast<int64_t>(i),
-                           use_pool[i] ? &forms[i] : nullptr);
+                           static_cast<int64_t>(i));
     if (use_pool[i]) seed_from_pool(&search, forms[i], task_stats);
     results[i] = search.Run();
     if (use_pool[i]) store_to_pool(results[i], forms[i]);
@@ -1548,14 +1282,10 @@ void MipStats::MergeFrom(const MipStats& other) {
   canonical_forms += other.canonical_forms;
   subtree_splits += other.subtree_splits;
   subtree_tasks += other.subtree_tasks;
-  warm_lp_solves += other.warm_lp_solves;
   lp_pivots += other.lp_pivots;
   max_resolve_pivots = std::max(max_resolve_pivots, other.max_resolve_pivots);
   rc_fixed_vars += other.rc_fixed_vars;
-  cuts_generated += other.cuts_generated;
-  cuts_reused += other.cuts_reused;
   warm_incumbents += other.warm_incumbents;
-  strong_branch_solves += other.strong_branch_solves;
   num_threads = std::max(num_threads, other.num_threads);
   // Wall time keeps the outermost (concurrent strands overlap in time);
   // CPU time sums across strands. Sequential aggregation over *disjoint*
@@ -1571,7 +1301,7 @@ namespace {
 // solve's merged MipStats. The search hot path keeps updating the plain
 // stats struct; one batched Increment per metric here keeps the registry
 // off the per-node path entirely. Scrapers turn the monotonic totals
-// into rates (steal/donation pressure, cut/cache hit rates).
+// into rates (steal/donation pressure, cache hit rates).
 void RecordSolveMetrics(const MipStats& s) {
   auto& reg = metrics::MetricsRegistry::Default();
   static metrics::Counter* solves =
@@ -1583,10 +1313,6 @@ void RecordSolveMetrics(const MipStats& s) {
       reg.GetCounter("licm_solver_lp_pivots_total");
   static metrics::Counter* rc_fixed =
       reg.GetCounter("licm_solver_rc_fixed_vars_total");
-  static metrics::Counter* cuts_generated =
-      reg.GetCounter("licm_solver_cuts_generated_total");
-  static metrics::Counter* cut_hits =
-      reg.GetCounter("licm_solver_cut_hits_total");
   static metrics::Counter* cache_hits =
       reg.GetCounter("licm_solver_cache_hits_total");
   static metrics::Counter* cache_misses =
@@ -1603,8 +1329,6 @@ void RecordSolveMetrics(const MipStats& s) {
   lp_solves->Increment(static_cast<int64_t>(s.lp_solves));
   pivots->Increment(static_cast<int64_t>(s.lp_pivots));
   rc_fixed->Increment(static_cast<int64_t>(s.rc_fixed_vars));
-  cuts_generated->Increment(static_cast<int64_t>(s.cuts_generated));
-  cut_hits->Increment(static_cast<int64_t>(s.cuts_reused));
   cache_hits->Increment(static_cast<int64_t>(s.cache_hits));
   cache_misses->Increment(static_cast<int64_t>(s.cache_misses));
   steals->Increment(static_cast<int64_t>(s.subtree_splits));

@@ -1,11 +1,13 @@
 // Exact branch & bound solver for the binary integer programs LICM emits.
 //
 // Pipeline: presolve -> connected-component decomposition -> per-component
-// depth-first branch & bound with activity bounds, bound propagation at
-// every node, and optional LP-relaxation bounds from the simplex. Optima
-// are *proved*, matching the paper's use of CPLEX; a time/node limit yields
-// valid approximate bounds with a reported gap (the paper's Query-3
-// behaviour on bipartite data).
+// depth-first branch & bound with activity bounds and bound propagation at
+// every node. On components of at most 400 variables each search strand
+// also keeps a warm dual simplex (simplex.h IncrementalLp) whose node
+// relaxation bounds the subtree and whose reduced costs fix variables
+// (reduced-cost fixing). Optima are *proved*, matching the paper's use of
+// CPLEX; a time/node limit yields valid approximate bounds with a
+// reported gap (the paper's Query-3 behaviour on bipartite data).
 #ifndef LICM_SOLVER_MIP_SOLVER_H_
 #define LICM_SOLVER_MIP_SOLVER_H_
 
@@ -18,7 +20,6 @@
 namespace licm::solver {
 
 class ComponentCache;
-class CutPool;
 class IncumbentPool;
 class Scheduler;
 
@@ -26,6 +27,11 @@ struct MipOptions {
   double time_limit_seconds = 300.0;
   bool use_presolve = true;
   bool use_decomposition = true;
+  /// Node LP: on components of at most 400 variables, each search strand
+  /// re-solves the node relaxation with a warm dual simplex from the
+  /// previous node's basis, prunes on its bound, branches on its most
+  /// fractional variable, and fixes variables by reduced cost against the
+  /// incumbent. Off leaves activity, propagation and probing bounds only.
   bool use_lp_bound = true;
   /// Consult a canonical-form solve cache per connected component (see
   /// solve_cache.h): isomorphic components — the common case under
@@ -54,35 +60,6 @@ struct MipOptions {
   /// Node cap per connected component; exceeding it degrades the result to
   /// kTimeLimit with valid (objective, best_bound) interval.
   int64_t max_nodes_per_component = 4'000'000;
-  /// Skip the LP bound for components larger than this many variables
-  /// (dense tableau cost grows quadratically); propagation and probing
-  /// bounds remain.
-  size_t lp_bound_max_vars = 150;
-  /// Incremental LP core (simplex.h IncrementalLp): each search strand
-  /// keeps one warm bounded-variable dual-simplex state and re-solves a
-  /// node's relaxation from the parent basis in a few pivots instead of a
-  /// cold SolveLpRelaxation per node. Also the prerequisite for
-  /// use_rc_fixing / use_cuts / use_pseudo_cost, which consume its duals
-  /// and fractional vertices.
-  bool use_warm_lp = true;
-  /// Components up to this many variables use the warm LP even above
-  /// lp_bound_max_vars (warm re-solves amortize the larger tableau).
-  size_t warm_lp_max_vars = 400;
-  /// Reduced-cost variable fixing: after an optimal node relaxation with
-  /// an incumbent in hand, a nonbasic integer whose reduced cost proves
-  /// every improving solution keeps it at its bound is fixed there for the
-  /// subtree (and the fixing propagated). Undone on backtrack via the
-  /// bound trail.
-  bool use_rc_fixing = true;
-  /// Cover/clique cuts separated from cardinality rows (cuts.h) at
-  /// fractional relaxation vertices, kept per component and reused across
-  /// isomorphic components via `cut_pool`.
-  bool use_cuts = true;
-  /// Cut rows a single component search may accumulate.
-  int max_cuts_per_component = 32;
-  /// Cross-call cut reuse keyed by canonical form (see solve_cache.h).
-  /// Optional even when use_cuts is set; per-search separation still runs.
-  CutPool* cut_pool = nullptr;
   /// Cross-call warm starts keyed by canonical form (see solve_cache.h):
   /// the best feasible point of every searched component is pooled, and a
   /// later solve of the same form seeds its search with the pooled point
@@ -90,22 +67,6 @@ struct MipOptions {
   /// how a versioned instance's re-solve skips the prologue of components
   /// the cache could not memoize — too large, or previously time-limited.
   IncumbentPool* incumbent_pool = nullptr;
-  /// Pseudo-cost branching seeded by strong branching at the component
-  /// root, replacing the most-fractional rule when relaxation data is
-  /// available (falls back to the structural heuristic otherwise).
-  bool use_pseudo_cost = true;
-  /// Gap-aware root prologue: run one objective-guided dive first and skip
-  /// the singleton-probing sweep and remaining dives whenever the
-  /// incumbent already meets the root activity bound (checked between —
-  /// and during — every prologue stage). On aggregate queries whose
-  /// objective touches a few dozen variables of a huge coupled component,
-  /// this removes the entire O(vars x probes) prologue from the critical
-  /// path. Off reproduces the legacy fixed prologue (full probe sweep,
-  /// then all dives). Bounds are identical either way; only the work done
-  /// to reach them changes.
-  bool use_adaptive_prologue = true;
-  /// Fractional candidates probed by strong branching at the root.
-  int strong_branch_candidates = 8;
   /// Worker threads shared by independent connected components and by
   /// intra-component subtree search (the paper's concluding remark that
   /// "parallelism ... may be required to scale"). 0 (the default)
@@ -159,23 +120,17 @@ struct MipStats {
   /// (pruning depends on when workers share incumbents); bounds are.
   int64_t subtree_splits = 0;
   int64_t subtree_tasks = 0;
-  /// Incremental LP core accounting: dual-simplex re-solves performed by
-  /// warm strand states, total pivots across them, and the pivot count of
-  /// the deepest single re-solve (MergeFrom keeps the max — the "how warm
-  /// are the starts" metric).
-  int64_t warm_lp_solves = 0;
+  /// Node-LP accounting: total dual-simplex pivots across all solves
+  /// (lp_solves counts the solves), and the pivot count of the deepest
+  /// single re-solve (MergeFrom keeps the max — the "how warm are the
+  /// starts" metric).
   int64_t lp_pivots = 0;
   int64_t max_resolve_pivots = 0;
   /// Variables fixed by reduced-cost bounds across all nodes.
   int64_t rc_fixed_vars = 0;
-  /// Cut rows separated by this solve / replayed from the cut pool.
-  int64_t cuts_generated = 0;
-  int64_t cuts_reused = 0;
   /// Component searches seeded with a feasible point from the incumbent
   /// pool (the point passed the pre-seed feasibility re-check).
   int64_t warm_incumbents = 0;
-  /// Strong-branching probe solves at component roots.
-  int64_t strong_branch_solves = 0;
   /// Resolved executor count of the solve (MergeFrom keeps the max).
   int num_threads = 0;
   /// Wall-clock seconds of the outermost solve. MergeFrom keeps the max

@@ -328,40 +328,15 @@ bool IncrementalLp::Suitable(const LinearProgram& lp,
     if (!std::isfinite(v.lower) || !std::isfinite(v.upper)) return false;
   }
   const size_t m = lp.num_rows();
-  // Reserve headroom for cut rows when sizing the dense tableau.
-  const size_t kCutReserve = 64;
-  return (m + kCutReserve) * (n + m + kCutReserve) <= options.max_tableau_cells;
+  return m * (n + m) <= options.max_tableau_cells;
 }
 
 IncrementalLp::IncrementalLp(const LinearProgram& lp,
                              const SimplexOptions& options)
     : lp_(lp), opt_(options) {
   num_vars_ = lp.num_vars();
-  num_base_rows_ = lp.num_rows();
-  num_rows_ = num_base_rows_;
+  num_rows_ = lp.num_rows();
   num_cols_ = num_vars_ + num_rows_;
-
-  rows_.reserve(num_base_rows_);
-  for (const Row& r : lp.rows()) {
-    StoredRow sr;
-    sr.terms = r.terms;
-    sr.rhs = r.rhs;
-    switch (r.op) {
-      case RowOp::kLe:
-        sr.slack_lo = 0.0;
-        sr.slack_hi = std::numeric_limits<double>::infinity();
-        break;
-      case RowOp::kGe:
-        sr.slack_lo = -std::numeric_limits<double>::infinity();
-        sr.slack_hi = 0.0;
-        break;
-      case RowOp::kEq:
-        sr.slack_lo = 0.0;
-        sr.slack_hi = 0.0;
-        break;
-    }
-    rows_.push_back(std::move(sr));
-  }
 
   status_.assign(num_cols_, VarStatus::kAtLower);
   d_.assign(num_cols_, 0.0);
@@ -373,9 +348,13 @@ IncrementalLp::IncrementalLp(const LinearProgram& lp,
     lb_[v] = lp.vars()[v].lower;
     ub_[v] = lp.vars()[v].upper;
   }
+  // Each row becomes an equality with a slack whose bounds encode the
+  // row sense.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   for (size_t r = 0; r < num_rows_; ++r) {
-    lb_[num_vars_ + r] = rows_[r].slack_lo;
-    ub_[num_vars_ + r] = rows_[r].slack_hi;
+    const RowOp op = lp.rows()[r].op;
+    lb_[num_vars_ + r] = op == RowOp::kGe ? -kInf : 0.0;
+    ub_[num_vars_ + r] = op == RowOp::kLe ? kInf : 0.0;
   }
   values_.assign(num_vars_, 0.0);
 }
@@ -404,9 +383,9 @@ bool IncrementalLp::Refactorize() {
   tab_.assign(num_rows_, std::vector<double>(num_cols_, 0.0));
   std::vector<double> rhs(num_rows_, 0.0);
   for (size_t r = 0; r < num_rows_; ++r) {
-    for (const Term& t : rows_[r].terms) tab_[r][t.var] += t.coef;
+    for (const Term& t : lp_.rows()[r].terms) tab_[r][t.var] += t.coef;
     tab_[r][num_vars_ + r] = 1.0;
-    rhs[r] = rows_[r].rhs;
+    rhs[r] = lp_.rows()[r].rhs;
   }
 
   // Gauss-Jordan over the basic columns with row pivoting.
@@ -655,49 +634,6 @@ SolveStatus IncrementalLp::Solve(const std::vector<double>& lower,
     stats_.max_resolve_pivots = last_pivots_;
   }
   return SolveStatus::kOptimal;
-}
-
-void IncrementalLp::AddCutRow(const Row& row) {
-  StoredRow sr;
-  sr.terms = row.terms;
-  sr.rhs = row.rhs;
-  sr.slack_lo = 0.0;
-  sr.slack_hi = std::numeric_limits<double>::infinity();
-  rows_.push_back(sr);
-
-  const size_t new_row = num_rows_;
-  const size_t slack_col = num_vars_ + new_row;
-  ++num_rows_;
-  ++num_cols_;
-  // Slack columns stay contiguous after structurals, so the new slack's
-  // column index is exactly the old num_cols_ and no remapping is needed.
-  status_.push_back(VarStatus::kBasic);
-  d_.push_back(0.0);
-  obj_.push_back(0.0);
-  lb_.push_back(sr.slack_lo);
-  ub_.push_back(sr.slack_hi);
-
-  if (!factorized_) return;  // next Solve cold-starts and rebuilds
-
-  for (auto& r : tab_) r.push_back(0.0);
-  std::vector<double> nrow(num_cols_, 0.0);
-  for (const Term& t : row.terms) nrow[t.var] += t.coef;
-  nrow[slack_col] = 1.0;
-  // Express the cut in the current basis: eliminate every basic column.
-  for (size_t r = 0; r < new_row; ++r) {
-    const double f = nrow[basis_[r]];
-    if (f == 0.0) continue;
-    const std::vector<double>& rrow = tab_[r];
-    for (size_t j = 0; j < num_cols_; ++j) nrow[j] -= f * rrow[j];
-    nrow[basis_[r]] = 0.0;
-  }
-  tab_.push_back(std::move(nrow));
-  basis_.push_back(slack_col);
-  // The slack's value at the current point; if negative the cut is
-  // violated and the next Solve repairs it dually.
-  double s = row.rhs;
-  for (const Term& t : row.terms) s -= t.coef * values_[t.var];
-  beta_.push_back(s);
 }
 
 LpBasis IncrementalLp::SaveBasis() const {

@@ -2,23 +2,25 @@
 //
 // Two engines share this header:
 //
-//  * SolveLpRelaxation — the original two-phase *primal* simplex on a dense
+//  * SolveLpRelaxation — the two-phase *primal* simplex on a dense
 //    tableau. Stateless: every call builds the tableau from scratch. Used
-//    for pure-LP components and as the cold fallback when the incremental
-//    engine does not apply.
+//    for pure-LP components, for the continuous rest of a mixed
+//    program's leaf once its integers are fixed, and as the reference the
+//    incremental engine is tested against.
 //
 //  * IncrementalLp — a bounded-variable *dual* simplex that keeps its
-//    basis, tableau, and reduced costs alive between solves. Branch &
-//    bound re-solves the same program thousands of times under slightly
-//    different variable bounds; the dual method re-establishes optimality
-//    from the parent basis in a handful of pivots instead of a full
-//    re-solve, and its reduced costs drive reduced-cost variable fixing
-//    and pseudo-cost branching (mip_solver.cc). Requires every variable
-//    to have finite bounds (LICM variables are binary, so this always
-//    holds after presolve).
+//    basis, tableau, and reduced costs alive between solves. It is the
+//    only node LP of branch & bound, which re-solves the same program
+//    thousands of times under slightly different variable bounds; the
+//    dual method re-establishes optimality from the parent basis in a
+//    handful of pivots instead of a full re-solve, and its reduced costs
+//    drive reduced-cost variable fixing (mip_solver.cc). Requires every
+//    variable to have finite bounds (LICM variables are binary, so this
+//    always holds after presolve).
 //
-// Both operate on dense tableaus, appropriate because the MIP layer only
-// invokes them on connected components below a size cap.
+// Both operate on dense tableaus: the node LP only runs on components of
+// at most 400 variables, and SimplexOptions::max_tableau_cells caps the
+// rest.
 #ifndef LICM_SOLVER_SIMPLEX_H_
 #define LICM_SOLVER_SIMPLEX_H_
 
@@ -55,7 +57,7 @@ LpSolution SolveLpRelaxation(const LinearProgram& lp, Sense sense,
 enum class VarStatus : uint8_t { kBasic, kAtLower, kAtUpper };
 
 /// Compact basis snapshot: one status per column, structurals first, then
-/// one slack per row (original rows followed by cut rows). A donated
+/// one slack per row. A donated
 /// subtree carries one so its strand warm-starts where the donor left off.
 struct LpBasis {
   std::vector<VarStatus> status;
@@ -82,7 +84,7 @@ struct IncrementalLpStats {
 ///
 /// The referenced program must outlive the instance. Variable bounds are
 /// passed per Solve call (the search's current domains); rows are fixed at
-/// construction except for AddCutRow.
+/// construction.
 class IncrementalLp {
  public:
   explicit IncrementalLp(const LinearProgram& lp,
@@ -116,12 +118,6 @@ class IncrementalLp {
   double ReducedCost(VarId v) const { return d_[v]; }
   VarStatus StatusOf(VarId v) const { return status_[v]; }
 
-  /// Appends a globally valid cut row (sum(terms) <= rhs over structural
-  /// variables). The cut's slack joins the basis; if the current point
-  /// violates the cut, the next Solve repairs feasibility in dual pivots.
-  void AddCutRow(const Row& row);
-  size_t num_cut_rows() const { return num_rows_ - num_base_rows_; }
-
   LpBasis SaveBasis() const;
   /// Adopts a basis snapshot (e.g. from a donor strand) and refactorizes.
   /// Falls back to the all-slack cold basis when the snapshot does not
@@ -144,20 +140,9 @@ class IncrementalLp {
 
   const LinearProgram& lp_;
   const SimplexOptions opt_;
-  size_t num_vars_;       // structural columns
-  size_t num_base_rows_;  // rows of the original program
-  size_t num_rows_;       // base rows + cut rows
-  size_t num_cols_;       // num_vars_ + num_rows_
-
-  // Row storage (original + cuts) used by Refactorize: normalized terms,
-  // rhs, and slack bounds encoding the row sense.
-  struct StoredRow {
-    std::vector<Term> terms;
-    double rhs = 0.0;
-    double slack_lo = 0.0;
-    double slack_hi = 0.0;
-  };
-  std::vector<StoredRow> rows_;
+  size_t num_vars_;  // structural columns
+  size_t num_rows_;  // rows of the program
+  size_t num_cols_;  // num_vars_ + num_rows_
 
   std::vector<std::vector<double>> tab_;  // num_rows_ x num_cols_
   std::vector<size_t> basis_;             // row -> basic column

@@ -102,52 +102,6 @@ class ComponentCache {
   uint64_t epoch_ = 0;
 };
 
-/// LRU pool of cardinality cuts (cuts.h) keyed by canonical form.
-///
-/// Unlike ComponentCache — which stores finished *answers* and short-cuts
-/// the solve entirely — the cut pool stores *strengthenings*: globally
-/// valid rows discovered while solving one component, replayed into the LP
-/// of every later isomorphic component so its search starts with the
-/// tighter relaxation instead of re-separating from scratch. Ownership is
-/// deliberately separate from the cache: a time-limited solve may not be
-/// cached, but its cuts are still valid and worth keeping.
-///
-/// Cuts are stored in canonical variable space and translated through the
-/// component's CanonicalForm on both Store and Fetch. Thread-safe.
-class CutPool {
- public:
-  explicit CutPool(size_t capacity = kDefaultCapacity)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
-
-  CutPool(const CutPool&) = delete;
-  CutPool& operator=(const CutPool&) = delete;
-
-  /// Returns the pooled cuts for `form` translated into input variable
-  /// space (empty when unknown) and marks the entry most recently used.
-  std::vector<Row> Fetch(const CanonicalForm& form);
-
-  /// Stores `cuts` (input variable space) for `form`, replacing any
-  /// previous entry and evicting the LRU entry when at capacity.
-  void Store(const CanonicalForm& form, const std::vector<Row>& cuts);
-
-  size_t size() const;
-  int64_t hits() const;
-
-  static constexpr size_t kDefaultCapacity = 1 << 14;
-
- private:
-  struct Node {
-    std::string key;
-    std::vector<Row> cuts;  // canonical variable space
-  };
-
-  const size_t capacity_;
-  mutable std::mutex mu_;
-  std::list<Node> lru_;
-  std::unordered_map<std::string_view, std::list<Node>::iterator> index_;
-  int64_t hits_ = 0;
-};
-
 /// LRU pool of best-known *feasible* solutions keyed by canonical form.
 ///
 /// Complements ComponentCache for the parts of a solve it cannot serve:

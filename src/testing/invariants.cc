@@ -184,18 +184,11 @@ InvariantReport CheckThreads(const CaseContext& ctx) {
 }
 
 InvariantReport CheckSolverFeatures(const CaseContext& ctx) {
-  // The baseline runs with the incremental LP core fully enabled (warm
-  // dual simplex, reduced-cost fixing, cardinality cuts, pseudo-cost
-  // branching); this re-solve turns all of it off at once.
+  // The baseline runs with the node LP (warm dual simplex plus
+  // reduced-cost fixing); this re-solve turns it off.
   AnswerOptions opt = BaselineOptions();
-  opt.bounds.mip.use_warm_lp = false;
-  opt.bounds.mip.use_rc_fixing = false;
-  opt.bounds.mip.use_cuts = false;
-  opt.bounds.mip.use_pseudo_cost = false;
-  opt.bounds.mip.use_adaptive_prologue = false;
-  return CompareWithBaseline(
-      "solver_features", ctx, opt,
-      "warm LP / RC fixing / cuts / pseudo-cost / adaptive prologue off");
+  opt.bounds.mip.use_lp_bound = false;
+  return CompareWithBaseline("solver_features", ctx, opt, "node LP off");
 }
 
 InvariantReport CheckMinMaxBatch(const CaseContext& ctx) {
@@ -880,9 +873,8 @@ const std::vector<Invariant>& AllInvariants() {
        CheckDecompose},
       {"threads", "bit-identical bounds with 1 vs 4 worker threads",
        CheckThreads},
-      {"solver_features", "bit-identical bounds with warm LP, RC fixing, "
-                          "cuts, pseudo-cost branching, and the adaptive "
-                          "prologue off",
+      {"solver_features", "bit-identical bounds with the node LP (warm dual "
+                          "simplex, reduced-cost fixing) off",
        CheckSolverFeatures},
       {"minmax", "SolveMinMax equals two single-sense solves",
        CheckMinMaxBatch},

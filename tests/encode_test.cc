@@ -56,8 +56,8 @@ double OriginalAnswer(const data::TransactionDataset& d,
 
 // Shared battery: original world valid; LICM bounds bracket MC bounds and
 // the original answer; MC worlds satisfy the constraint set.
-void RunBattery(const EncodedDb& enc, const data::TransactionDataset& d,
-                const rel::QueryNodePtr& query, double original_answer) {
+void RunBattery(const EncodedDb& enc, const rel::QueryNodePtr& query,
+                double original_answer) {
   // (1) Original world satisfies the constraints.
   ASSERT_EQ(enc.original_world.size(), enc.db.pool().size());
   EXPECT_TRUE(enc.db.constraints().Satisfied(enc.original_world));
@@ -113,7 +113,7 @@ TEST_P(EncodeGeneralizedSweep, KmEndToEnd) {
   ASSERT_TRUE(anon.ok());
   auto enc = EncodeGeneralized(*anon, h, d);
   ASSERT_TRUE(enc.ok()) << enc.status().ToString();
-  RunBattery(*enc, d, Query1FlatView(), OriginalAnswer(d, *Query1FlatView()));
+  RunBattery(*enc, Query1FlatView(), OriginalAnswer(d, *Query1FlatView()));
 }
 
 TEST_P(EncodeGeneralizedSweep, KAnonymityEndToEnd) {
@@ -123,7 +123,7 @@ TEST_P(EncodeGeneralizedSweep, KAnonymityEndToEnd) {
   ASSERT_TRUE(anon.ok());
   auto enc = EncodeGeneralized(*anon, h, d);
   ASSERT_TRUE(enc.ok()) << enc.status().ToString();
-  RunBattery(*enc, d, Query1FlatView(), OriginalAnswer(d, *Query1FlatView()));
+  RunBattery(*enc, Query1FlatView(), OriginalAnswer(d, *Query1FlatView()));
 }
 
 INSTANTIATE_TEST_SUITE_P(K, EncodeGeneralizedSweep,
@@ -137,7 +137,7 @@ TEST_P(EncodeBipartiteSweep, EndToEnd) {
   ASSERT_TRUE(groups.ok());
   auto enc = EncodeBipartite(*groups, d);
   ASSERT_TRUE(enc.ok()) << enc.status().ToString();
-  RunBattery(*enc, d, Query1BipartiteView(),
+  RunBattery(*enc, Query1BipartiteView(),
              OriginalAnswer(d, *Query1FlatView()));
 }
 
@@ -179,7 +179,7 @@ TEST(EncodeSuppressed, EndToEnd) {
   ASSERT_FALSE(anon->suppressed_items.empty());
   auto enc = EncodeSuppressed(*anon, d);
   ASSERT_TRUE(enc.ok()) << enc.status().ToString();
-  RunBattery(*enc, d, Query1FlatView(), OriginalAnswer(d, *Query1FlatView()));
+  RunBattery(*enc, Query1FlatView(), OriginalAnswer(d, *Query1FlatView()));
 }
 
 TEST(EncodeGeneralized, BlowupMatchesExpansionStat) {

@@ -20,7 +20,6 @@ rel::Schema TransItemSchema() {
       {{"tid", ValueType::kInt}, {"item", ValueType::kString}});
 }
 
-Value V(int64_t x) { return Value(x); }
 Value V(const char* s) { return Value(std::string(s)); }
 
 // Figure 2(c): transaction T1 = {Alcohol, Shampoo}; Alcohol generalizes to

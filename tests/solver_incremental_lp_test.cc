@@ -1,12 +1,11 @@
 // Unit tests for the incremental dual simplex (warm-started node
-// relaxations), reduced-cost fixing, and cardinality cut separation.
+// relaxations) and reduced-cost fixing.
 #include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "solver/cuts.h"
 #include "solver/linear_program.h"
 #include "solver/mip_solver.h"
 #include "solver/simplex.h"
@@ -192,118 +191,6 @@ TEST(IncrementalLp, ReducedCostSignsAtOptimum) {
   EXPECT_GE(inc.objective() + inc.ReducedCost(b) + 1e-6, 2.0);
 }
 
-TEST(IncrementalLp, AddCutRowTightensRelaxation) {
-  // max b1 + b2 + b3 st 2b1 + 2b2 + 2b3 <= 3: LP optimum 1.5, integer
-  // optimum 1. The cover cut b1 + b2 + b3 <= 1 closes the gap.
-  LinearProgram lp;
-  std::vector<Term> heavy, unit;
-  for (int i = 0; i < 3; ++i) {
-    VarId v = lp.AddVariable(0, 1, false);
-    lp.SetObjectiveCoef(v, 1.0);
-    heavy.push_back(Term{v, 2.0});
-    unit.push_back(Term{v, 1.0});
-  }
-  lp.AddRow(Row{heavy, RowOp::kLe, 3});
-  IncrementalLp inc(lp);
-  std::vector<double> lo(3, 0.0), hi(3, 1.0);
-  ASSERT_EQ(inc.Solve(lo, hi), SolveStatus::kOptimal);
-  EXPECT_NEAR(inc.objective(), 1.5, 1e-9);
-  inc.AddCutRow(Row{unit, RowOp::kLe, 1});
-  EXPECT_EQ(inc.num_cut_rows(), 1u);
-  ASSERT_EQ(inc.Solve(lo, hi), SolveStatus::kOptimal);
-  EXPECT_NEAR(inc.objective(), 1.0, 1e-9);
-}
-
-// ---------------------------------------------------------------------------
-// Cardinality cut separation.
-
-double RowActivity(const Row& row, const std::vector<double>& x) {
-  double a = 0.0;
-  for (const Term& t : row.terms) a += t.coef * x[t.var];
-  return a;
-}
-
-bool RowSatisfied(const Row& row, const std::vector<double>& x) {
-  const double a = RowActivity(row, x);
-  switch (row.op) {
-    case RowOp::kLe: return a <= row.rhs + 1e-6;
-    case RowOp::kGe: return a >= row.rhs - 1e-6;
-    default: return std::abs(a - row.rhs) <= 1e-6;
-  }
-}
-
-// Every generated cut must be satisfied by every feasible 0/1 point (cuts
-// only shave fractional vertices) and violated by the fractional point it
-// was separated from.
-class CutValidity : public ::testing::TestWithParam<int> {};
-
-TEST_P(CutValidity, CutsValidForAllIntegerPoints) {
-  Rng rng(static_cast<uint64_t>(GetParam()) + 42);
-  const int n = 3 + static_cast<int>(rng.Uniform(4));  // 3..6 binaries
-  LinearProgram lp;
-  for (int v = 0; v < n; ++v) {
-    VarId id = lp.AddVariable(0, 1, true);
-    lp.SetObjectiveCoef(id, static_cast<double>(rng.UniformInt(-2, 3)));
-  }
-  for (int r = 0; r < 3; ++r) {
-    Row row;
-    for (int v = 0; v < n; ++v) {
-      int64_t c = rng.UniformInt(-2, 3);
-      if (c != 0) {
-        row.terms.push_back(Term{static_cast<VarId>(v),
-                                 static_cast<double>(c)});
-      }
-    }
-    if (row.terms.size() < 3) continue;
-    row.op = rng.Uniform(2) == 0 ? RowOp::kLe : RowOp::kGe;
-    row.rhs = static_cast<double>(rng.UniformInt(1, 4));
-    lp.AddRow(std::move(row));
-  }
-  // A fractional point to separate at.
-  std::vector<double> x(n);
-  for (int v = 0; v < n; ++v) {
-    x[v] = 0.1 * static_cast<double>(rng.Uniform(11));
-  }
-  CutOptions copt;
-  std::vector<Row> cuts = GenerateCardinalityCuts(lp, x, copt);
-  for (const Row& cut : cuts) {
-    EXPECT_FALSE(RowSatisfied(cut, x))
-        << "separated cut must be violated at the fractional point";
-    for (int mask = 0; mask < (1 << n); ++mask) {
-      std::vector<double> p(n);
-      for (int v = 0; v < n; ++v) p[v] = (mask >> v) & 1;
-      if (!lp.IsFeasible(p)) continue;
-      EXPECT_TRUE(RowSatisfied(cut, p))
-          << "cut cuts off feasible integer point, seed " << GetParam()
-          << " mask " << mask;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, CutValidity, ::testing::Range(0, 40));
-
-TEST(Cuts, SeparatesCoverFromFractionalKnapsack) {
-  // 2b1 + 2b2 + 2b3 <= 3 at x = (0.5, 0.5, 0.5): the cover b1+b2+b3 <= 1
-  // (or an equivalent) must be found, violated by 0.5.
-  LinearProgram lp;
-  std::vector<Term> heavy;
-  for (int i = 0; i < 3; ++i) {
-    VarId v = lp.AddVariable(0, 1, true);
-    lp.SetObjectiveCoef(v, 1.0);
-    heavy.push_back(Term{v, 2.0});
-  }
-  lp.AddRow(Row{heavy, RowOp::kLe, 3});
-  CutOptions copt;
-  std::vector<Row> cuts =
-      GenerateCardinalityCuts(lp, {0.5, 0.5, 0.5}, copt);
-  ASSERT_FALSE(cuts.empty());
-  bool found = false;
-  for (const Row& cut : cuts) {
-    found |= !RowSatisfied(cut, std::vector<double>{0.5, 0.5, 0.5});
-  }
-  EXPECT_TRUE(found);
-}
-
 // ---------------------------------------------------------------------------
 // Reduced-cost fixing: end-to-end parity against brute-force enumeration.
 
@@ -351,10 +238,10 @@ LinearProgram RandomBinaryProgram(uint64_t seed) {
   return lp;
 }
 
-// With every incremental-LP feature enabled (warm LP, RC fixing, cuts,
-// pseudo-costs), the proved optimum must be bit-identical to brute-force
-// enumeration — RC fixing may discard alternative optima but never the
-// optimal *value*, and the returned witness must stay feasible + optimal.
+// With the node LP on (warm dual simplex plus RC fixing), the proved
+// optimum must be bit-identical to brute-force enumeration — RC fixing may
+// discard alternative optima but never the optimal *value*, and the
+// returned witness must stay feasible + optimal.
 class RcFixingParity : public ::testing::TestWithParam<int> {};
 
 TEST_P(RcFixingParity, FeaturesOnMatchesEnumeration) {
@@ -362,11 +249,7 @@ TEST_P(RcFixingParity, FeaturesOnMatchesEnumeration) {
   BruteForce ref = Enumerate(lp);
   MipOptions opt;
   opt.num_threads = 1;
-  opt.use_warm_lp = true;
-  opt.use_rc_fixing = true;
-  opt.use_cuts = true;
-  opt.use_pseudo_cost = true;
-  opt.use_adaptive_prologue = true;
+  opt.use_lp_bound = true;
   MipResult res = MipSolver(opt).Solve(lp, Sense::kMaximize);
   if (!ref.feasible) {
     EXPECT_EQ(res.status, SolveStatus::kInfeasible);
@@ -405,8 +288,8 @@ TEST(RcFixing, UniqueOptimumSurvives) {
   EXPECT_EQ(res.solution[c], 0.0);
 }
 
-// Feature ablation must not change proved bounds: all-on vs all-off on
-// random programs, both senses, exact double equality.
+// The node LP must not change proved bounds: on vs off on random
+// programs, both senses, exact double equality.
 class FeatureParity : public ::testing::TestWithParam<int> {};
 
 TEST_P(FeatureParity, OnOffBitIdenticalBounds) {
@@ -415,11 +298,7 @@ TEST_P(FeatureParity, OnOffBitIdenticalBounds) {
   MipOptions on;
   on.num_threads = 1;
   MipOptions off = on;
-  off.use_warm_lp = false;
-  off.use_rc_fixing = false;
-  off.use_cuts = false;
-  off.use_pseudo_cost = false;
-  off.use_adaptive_prologue = false;
+  off.use_lp_bound = false;
   MinMaxMipResult r_on = MipSolver(on).SolveMinMax(lp);
   MinMaxMipResult r_off = MipSolver(off).SolveMinMax(lp);
   ASSERT_EQ(r_on.max.status, r_off.max.status) << "seed " << GetParam();

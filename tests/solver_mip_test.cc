@@ -334,6 +334,30 @@ TEST(Mip, SolverOptionTogglesAgree) {
   }
 }
 
+TEST(Mip, MixedLeafOptimizesContinuousVariables) {
+  // Binary x, continuous y in [0, 2], x + y >= 1. Max y is 2 and min y is
+  // 0 (at x = 1). Without the node LP the search reaches a leaf with x
+  // fixed and y still free: the leaf must solve its continuous LP, not
+  // pin y at its lower bound.
+  LinearProgram lp;
+  const VarId x = lp.AddBinary();
+  const VarId y = lp.AddVariable(0, 2, false);
+  lp.SetObjectiveCoef(y, 1.0);
+  lp.AddRow(Row{{{x, 1}, {y, 1}}, RowOp::kGe, 1});
+  for (const bool use_lp : {true, false}) {
+    MipOptions o;
+    o.num_threads = 1;
+    o.use_lp_bound = use_lp;
+    const MinMaxMipResult r = MipSolver(o).SolveMinMax(lp);
+    ASSERT_EQ(r.max.status, SolveStatus::kOptimal) << "lp=" << use_lp;
+    EXPECT_EQ(r.max.objective, 2.0) << "lp=" << use_lp;
+    EXPECT_TRUE(lp.IsFeasible(r.max.solution)) << "lp=" << use_lp;
+    ASSERT_EQ(r.min.status, SolveStatus::kOptimal) << "lp=" << use_lp;
+    EXPECT_EQ(r.min.objective, 0.0) << "lp=" << use_lp;
+    EXPECT_TRUE(lp.IsFeasible(r.min.solution)) << "lp=" << use_lp;
+  }
+}
+
 TEST(Mip, ParallelComponentsMatchSequential) {
   // Many independent cardinality blocks: parallel and sequential solves
   // must agree exactly.

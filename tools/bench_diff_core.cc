@@ -28,6 +28,7 @@ const std::unordered_set<std::string>& IdentitySet() {
   static const std::unordered_set<std::string> kSet = {
       "bench", "scheme", "engine", "variant", "query", "qnum", "qnums",
       "cache", "k", "num_transactions", "txns", "items", "fanout",
+      "q1_pa_max_loc",
       "requested_threads", "connections", "requests",
       "requests_per_connection", "burst", "mode",
       "frontend", "codec", "shards", "max_outstanding", "offered_rps",
@@ -47,8 +48,7 @@ const std::unordered_set<std::string>& BoundSet() {
 const std::unordered_set<std::string>& CounterSet() {
   static const std::unordered_set<std::string> kSet = {
       "nodes", "lp_solves", "lp_pivots", "cache_misses", "canonical_forms",
-      "presolve_calls", "decompose_calls", "components", "warm_lp_solves",
-      "strong_branch_solves", "cuts_generated", "rc_fixed_vars",
+      "presolve_calls", "decompose_calls", "components", "rc_fixed_vars",
   };
   return kSet;
 }
@@ -56,7 +56,7 @@ const std::unordered_set<std::string>& CounterSet() {
 const std::unordered_set<std::string>& RateSet() {
   static const std::unordered_set<std::string> kSet = {
       "rows_per_s", "throughput_rps", "achieved_rps", "speedup",
-      "query_speedup", "cache_hit_rate", "cache_hits", "cuts_reused",
+      "query_speedup", "cache_hit_rate", "cache_hits",
   };
   return kSet;
 }
