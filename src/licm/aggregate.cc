@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <vector>
 
@@ -64,17 +65,18 @@ solver::RowOp ToRowOp(ConstraintOp op) {
 // variable with the live set (any shared variable would have made them
 // live), so their satisfiability is independent of the kept LP — and
 // pruning's soundness caveat (prune.h) is exactly that this remainder
-// admits a world. One zero-objective solve settles it.
+// admits a world.
 //
 // Returns Infeasible when no world satisfies the remainder, OK otherwise;
 // `*exact` is cleared when the probe hit a limit and the answer is unknown.
 Status CheckPrunedRemainder(const ConstraintSet& constraints,
                             const PruneResult& pruned,
                             const solver::MipOptions& mip, bool* exact) {
+  const size_t num_vars = pruned.is_live.size();
   std::vector<const LinearConstraint*> dropped;
   for (const LinearConstraint& c : constraints.constraints()) {
     bool live = false;
-    for (const auto& t : c.terms) live |= pruned.live.count(t.var) > 0;
+    for (const auto& t : c.terms) live |= pruned.is_live[t.var] != 0;
     if (live) continue;
     if (c.terms.empty()) {  // constant row: evaluate 0 op rhs directly
       const bool ok = c.op == ConstraintOp::kLe   ? 0 <= c.rhs
@@ -90,17 +92,44 @@ Status CheckPrunedRemainder(const ConstraintSet& constraints,
   }
   if (dropped.empty()) return Status::OK();
 
+  // Witness fast path: LICM remainders are overwhelmingly disjoint
+  // cardinality blocks ("between lo and hi of this group set"), where
+  // raising the minimum number of variables per >=/== row yields a
+  // possible world. Build that assignment greedily, then verify it against
+  // EVERY dropped row exactly (integer arithmetic), so a verified witness
+  // proves feasibility outright and skips the solver (whose
+  // canonicalization pass dominates this probe on monolithic-component
+  // workloads). Verification failure falls through to the exact
+  // zero-objective solve, so the heuristic cannot affect soundness in
+  // either direction.
+  std::vector<uint8_t> x(num_vars, 0);
+  for (const LinearConstraint* c : dropped) {
+    if (c->op == ConstraintOp::kLe) continue;
+    int64_t act = 0;
+    for (const auto& t : c->terms) act += t.coef * x[t.var];
+    for (const auto& t : c->terms) {
+      if (act >= c->rhs) break;
+      if (t.coef > 0 && x[t.var] == 0) {
+        x[t.var] = 1;
+        act += t.coef;
+      }
+    }
+  }
+  const bool witness_ok =
+      std::all_of(dropped.begin(), dropped.end(),
+                  [&x](const LinearConstraint* c) { return c->Satisfied(x); });
+  if (witness_ok) return Status::OK();
+
   solver::LinearProgram lp;
   // Dense BVar -> VarId map: ids are contiguous and small, and the hash
   // lookups of a map dominate construction time on large remainders.
   constexpr solver::VarId kUnmapped =
       std::numeric_limits<solver::VarId>::max();
-  std::vector<solver::VarId> to_lp;
+  std::vector<solver::VarId> to_lp(num_vars, kUnmapped);
   for (const LinearConstraint* c : dropped) {
     solver::Row row;
     row.terms.reserve(c->terms.size());
     for (const auto& t : c->terms) {
-      if (t.var >= to_lp.size()) to_lp.resize(t.var + 1, kUnmapped);
       if (to_lp[t.var] == kUnmapped) to_lp[t.var] = lp.AddBinary();
       row.terms.push_back({to_lp[t.var], static_cast<double>(t.coef)});
     }
@@ -108,43 +137,6 @@ Status CheckPrunedRemainder(const ConstraintSet& constraints,
     row.rhs = static_cast<double>(c->rhs);
     lp.AddRow(std::move(row));
   }
-  // Witness fast path: LICM remainders are overwhelmingly disjoint
-  // cardinality blocks ("between lo and hi of this group set"), where
-  // raising the minimum number of variables per >=/== row yields a
-  // possible world. Build that assignment greedily, then verify it against
-  // EVERY row exactly — all quantities are small integers, so the checks
-  // are exact and a verified witness proves feasibility outright, skipping
-  // the solver (whose canonicalization pass dominates this probe on
-  // monolithic-component workloads). Verification failure falls through to
-  // the exact zero-objective solve, so the heuristic cannot affect
-  // soundness in either direction.
-  std::vector<uint8_t> x(lp.num_vars(), 0);
-  for (const solver::Row& row : lp.rows()) {
-    if (row.op == solver::RowOp::kLe) continue;
-    double act = 0.0;
-    for (const auto& t : row.terms) act += t.coef * x[t.var];
-    for (const auto& t : row.terms) {
-      if (act >= row.rhs) break;
-      if (t.coef > 0 && x[t.var] == 0) {
-        x[t.var] = 1;
-        act += t.coef;
-      }
-    }
-  }
-  bool witness_ok = true;
-  for (const solver::Row& row : lp.rows()) {
-    double act = 0.0;
-    for (const auto& t : row.terms) act += t.coef * x[t.var];
-    const bool sat = row.op == solver::RowOp::kLe   ? act <= row.rhs
-                     : row.op == solver::RowOp::kGe ? act >= row.rhs
-                                                    : act == row.rhs;
-    if (!sat) {
-      witness_ok = false;
-      break;
-    }
-  }
-  if (witness_ok) return Status::OK();
-
   const solver::MipResult r =
       solver::MipSolver(mip).Solve(lp, solver::Sense::kMaximize);
   if (r.status == solver::SolveStatus::kInfeasible) {
@@ -176,24 +168,27 @@ Result<AggregateBounds> ComputeBounds(const Objective& objective,
     }
   } else {
     // Identity "prune": everything stays live.
-    pruned.kept = constraints.constraints();
-    for (BVar v = 0; v < num_vars; ++v) pruned.live.insert(v);
+    pruned.kept.resize(constraints.size());
+    std::iota(pruned.kept.begin(), pruned.kept.end(), 0u);
+    pruned.live.resize(num_vars);
+    std::iota(pruned.live.begin(), pruned.live.end(), 0u);
+    pruned.is_live.assign(num_vars, 1);
     pruned.stats = {num_vars, num_vars, constraints.size(),
                     constraints.size()};
   }
 
-  // Build the BIP over live variables. BVar -> VarId uses a dense vector:
-  // ids are contiguous, and at Query-3 scale (hundreds of thousands of
-  // terms) map hashing dominates construction otherwise.
+  // Build the BIP over live variables, in ascending id order. BVar ->
+  // VarId uses a dense vector: ids are contiguous, and at Query-3 scale
+  // (hundreds of thousands of terms) map hashing dominates construction
+  // otherwise.
   solver::LinearProgram lp;
   constexpr solver::VarId kUnmapped =
       std::numeric_limits<solver::VarId>::max();
   std::vector<solver::VarId> to_lp(num_vars, kUnmapped);
-  // Deterministic order: sort live variables.
-  std::vector<BVar> live_sorted(pruned.live.begin(), pruned.live.end());
-  std::sort(live_sorted.begin(), live_sorted.end());
-  for (BVar v : live_sorted) to_lp[v] = lp.AddBinary();
-  for (const LinearConstraint& c : pruned.kept) {
+  for (BVar v : pruned.live) to_lp[v] = lp.AddBinary();
+  const auto& cs = constraints.constraints();
+  for (uint32_t k : pruned.kept) {
+    const LinearConstraint& c = cs[k];
     solver::Row row;
     row.terms.reserve(c.terms.size());
     for (const auto& t : c.terms) {
@@ -244,7 +239,7 @@ Result<AggregateBounds> ComputeBounds(const Objective& objective,
     side->value = side_result.has_solution ? side_result.objective
                                            : side_result.best_bound;
     if (side_result.has_solution) {
-      for (BVar v : live_sorted) {
+      for (BVar v : pruned.live) {
         side->world.emplace(
             v, static_cast<uint8_t>(
                    std::lround(side_result.solution[to_lp.at(v)])));

@@ -53,10 +53,11 @@ LicmBatch OrMergeGroups(const LicmBatch& in, ColumnarLicmContext* ctx) {
   return out;
 }
 
-Result<LicmBatch> ScanBatch(const rel::QueryNode& node, LicmDatabase* db,
+Result<LicmBatch> ScanBatch(const rel::QueryNode& node,
+                            const LicmDatabase& db,
                             ColumnarLicmContext* ctx) {
   LICM_ASSIGN_OR_RETURN(const LicmRelation* r,
-                        db->GetRelation(node.relation_name));
+                        db.GetRelation(node.relation_name));
   ctx->base_tables.push_back(
       std::make_unique<rel::ColumnTable>(rel::ColumnTable::FromTuples(
           r->schema(), r->tuples(), &ctx->dict)));
@@ -71,7 +72,8 @@ Result<LicmBatch> ScanBatch(const rel::QueryNode& node, LicmDatabase* db,
   return OrMergeGroups(b, ctx);
 }
 
-Result<LicmBatch> SelectBatch(const rel::QueryNode& node, LicmDatabase* db,
+Result<LicmBatch> SelectBatch(const rel::QueryNode& node,
+                              const LicmDatabase& db,
                               ColumnarLicmContext* ctx) {
   LICM_ASSIGN_OR_RETURN(LicmBatch in, EvaluateLicmBatch(*node.left, db, ctx));
   std::vector<size_t> idx(node.predicates.size());
@@ -91,7 +93,8 @@ Result<LicmBatch> SelectBatch(const rel::QueryNode& node, LicmDatabase* db,
   return out;
 }
 
-Result<LicmBatch> ProjectBatch(const rel::QueryNode& node, LicmDatabase* db,
+Result<LicmBatch> ProjectBatch(const rel::QueryNode& node,
+                               const LicmDatabase& db,
                                ColumnarLicmContext* ctx) {
   LICM_ASSIGN_OR_RETURN(LicmBatch in, EvaluateLicmBatch(*node.left, db, ctx));
   std::vector<rel::Column> cols(node.columns.size());
@@ -110,7 +113,8 @@ Result<LicmBatch> ProjectBatch(const rel::QueryNode& node, LicmDatabase* db,
   return OrMergeGroups(mid, ctx);
 }
 
-Result<LicmBatch> IntersectBatch(const rel::QueryNode& node, LicmDatabase* db,
+Result<LicmBatch> IntersectBatch(const rel::QueryNode& node,
+                                 const LicmDatabase& db,
                                  ColumnarLicmContext* ctx) {
   LICM_ASSIGN_OR_RETURN(LicmBatch a, EvaluateLicmBatch(*node.left, db, ctx));
   LICM_ASSIGN_OR_RETURN(LicmBatch b, EvaluateLicmBatch(*node.right, db, ctx));
@@ -145,7 +149,8 @@ Result<LicmBatch> IntersectBatch(const rel::QueryNode& node, LicmDatabase* db,
   return out;
 }
 
-Result<LicmBatch> ProductBatch(const rel::QueryNode& node, LicmDatabase* db,
+Result<LicmBatch> ProductBatch(const rel::QueryNode& node,
+                               const LicmDatabase& db,
                                ColumnarLicmContext* ctx) {
   LICM_ASSIGN_OR_RETURN(LicmBatch a, EvaluateLicmBatch(*node.left, db, ctx));
   LICM_ASSIGN_OR_RETURN(LicmBatch b, EvaluateLicmBatch(*node.right, db, ctx));
@@ -181,7 +186,8 @@ Result<LicmBatch> ProductBatch(const rel::QueryNode& node, LicmDatabase* db,
   return out;
 }
 
-Result<LicmBatch> JoinBatch(const rel::QueryNode& node, LicmDatabase* db,
+Result<LicmBatch> JoinBatch(const rel::QueryNode& node,
+                            const LicmDatabase& db,
                             ColumnarLicmContext* ctx) {
   LICM_ASSIGN_OR_RETURN(LicmBatch a, EvaluateLicmBatch(*node.left, db, ctx));
   LICM_ASSIGN_OR_RETURN(LicmBatch b, EvaluateLicmBatch(*node.right, db, ctx));
@@ -313,7 +319,7 @@ Result<LicmBatch> GroupPredicateBatch(const LicmBatch& merged, size_t gidx,
 }
 
 Result<LicmBatch> CountPredicateBatch(const rel::QueryNode& node,
-                                      LicmDatabase* db,
+                                      const LicmDatabase& db,
                                       ColumnarLicmContext* ctx) {
   LICM_ASSIGN_OR_RETURN(LicmBatch in, EvaluateLicmBatch(*node.left, db, ctx));
   LICM_ASSIGN_OR_RETURN(size_t gidx,
@@ -325,7 +331,7 @@ Result<LicmBatch> CountPredicateBatch(const rel::QueryNode& node,
 }
 
 Result<LicmBatch> SumPredicateBatch(const rel::QueryNode& node,
-                                    LicmDatabase* db,
+                                    const LicmDatabase& db,
                                     ColumnarLicmContext* ctx) {
   LICM_ASSIGN_OR_RETURN(LicmBatch in, EvaluateLicmBatch(*node.left, db, ctx));
   LICM_ASSIGN_OR_RETURN(size_t gidx,
@@ -349,7 +355,7 @@ Result<LicmBatch> MergeDuplicatesBatch(const LicmBatch& in,
 }
 
 Result<LicmBatch> EvaluateLicmBatch(const rel::QueryNode& node,
-                                    LicmDatabase* db,
+                                    const LicmDatabase& db,
                                     ColumnarLicmContext* ctx) {
   switch (node.kind) {
     case rel::QueryKind::kScan: return ScanBatch(node, db, ctx);

@@ -44,9 +44,10 @@ struct ColumnarLicmContext {
 };
 
 /// Evaluates a non-aggregate query tree over `db` into a batch, appending
-/// lineage variables/constraints exactly as EvaluateLicm would.
+/// lineage variables/constraints to `ctx->ops` exactly as EvaluateLicm
+/// would to the database. `db`'s relations are only read.
 Result<LicmBatch> EvaluateLicmBatch(const rel::QueryNode& node,
-                                    LicmDatabase* db,
+                                    const LicmDatabase& db,
                                     ColumnarLicmContext* ctx);
 
 /// Batch counterpart of MergeDuplicates: OR-merges duplicate tuples,

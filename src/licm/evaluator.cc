@@ -89,31 +89,37 @@ namespace {
 // merged result in the same row order, so the objective accumulation (a
 // float-order-sensitive sum) and the MIN/MAX case analysis see identical
 // inputs and the bounds match bit for bit.
+//
+// The base relations are scanned in place; derived variables and
+// constraints go into `pool` / `constraints`, private copies of the
+// database's, so the caller's snapshot is never written.
 Result<AggregateAnswer> AnswerAggregateColumnar(const rel::QueryNode& query,
-                                                LicmDatabase db,
+                                                const LicmDatabase& db,
                                                 const AnswerOptions& options) {
   AggregateAnswer out;
   StopWatch watch;
-  const size_t cons_before = db.constraints().size();
+  VariablePool pool = db.pool();
+  ConstraintSet constraints = db.constraints();
+  const size_t cons_before = constraints.size();
 
   telemetry::ScopedSpan eval_span("licm", "query_eval");
-  ColumnarLicmContext ctx(OpContext{&db.pool(), &db.constraints()});
+  ColumnarLicmContext ctx(OpContext{&pool, &constraints});
   LICM_ASSIGN_OR_RETURN(LicmBatch result,
-                        EvaluateLicmBatch(*query.left, &db, &ctx));
+                        EvaluateLicmBatch(*query.left, db, &ctx));
   // Aggregates count each distinct tuple once per world.
   LICM_ASSIGN_OR_RETURN(result, MergeDuplicatesBatch(result, &ctx));
   eval_span.End();
   size_t rows_scanned = 0;
   for (const auto& t : ctx.base_tables) rows_scanned += t->num_rows();
   RecordQueryMetrics("columnar", rows_scanned,
-                     db.constraints().size() - cons_before,
+                     constraints.size() - cons_before,
                      ctx.arena.bytes_allocated());
   telemetry::ScopedSpan solve_span("licm", "solve");
 
   if (query.kind == rel::QueryKind::kMin ||
       query.kind == rel::QueryKind::kMax) {
-    out.vars_at_query = db.pool().size();
-    out.constraints_at_query = db.constraints().size();
+    out.vars_at_query = pool.size();
+    out.constraints_at_query = constraints.size();
     out.query_ms = watch.ElapsedMs();
     watch.Restart();
     LICM_ASSIGN_OR_RETURN(size_t col,
@@ -127,7 +133,7 @@ Result<AggregateAnswer> AnswerAggregateColumnar(const rel::QueryNode& query,
     NumericColumnBatch(result, col, &ctx, &values, &exts);
     LICM_ASSIGN_OR_RETURN(
         out.minmax,
-        ComputeMinMaxBounds(values, exts, db.constraints(), db.pool().size(),
+        ComputeMinMaxBounds(values, exts, constraints, pool.size(),
                             query.kind == rel::QueryKind::kMax,
                             options.bounds));
     out.is_minmax = true;
@@ -172,15 +178,14 @@ Result<AggregateAnswer> AnswerAggregateColumnar(const rel::QueryNode& query,
       }
     }
   }
-  out.vars_at_query = db.pool().size();
-  out.constraints_at_query = db.constraints().size();
+  out.vars_at_query = pool.size();
+  out.constraints_at_query = constraints.size();
   out.query_ms = watch.ElapsedMs();
 
   watch.Restart();
   LICM_ASSIGN_OR_RETURN(
       out.bounds,
-      ComputeBounds(obj, db.constraints(), db.pool().size(),
-                    options.bounds));
+      ComputeBounds(obj, constraints, pool.size(), options.bounds));
   out.solve_ms = watch.ElapsedMs();
   return out;
 }
@@ -188,15 +193,17 @@ Result<AggregateAnswer> AnswerAggregateColumnar(const rel::QueryNode& query,
 }  // namespace
 
 Result<AggregateAnswer> AnswerAggregate(const rel::QueryNode& query,
-                                        LicmDatabase db,
+                                        const LicmDatabase& snapshot,
                                         const AnswerOptions& options) {
   if (!rel::IsAggregate(query)) {
     return Status::InvalidArgument(
         "AnswerAggregate requires kCountStar or kSum at the root");
   }
   if (options.engine == rel::EvalEngine::kColumnar) {
-    return AnswerAggregateColumnar(query, std::move(db), options);
+    return AnswerAggregateColumnar(query, snapshot, options);
   }
+  // The row reference engine appends to the database it evaluates on.
+  LicmDatabase db = snapshot;
   AggregateAnswer out;
   StopWatch watch;
   const size_t cons_before = db.constraints().size();

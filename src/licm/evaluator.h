@@ -46,12 +46,16 @@ struct AggregateAnswer {
   double solve_ms = 0.0;  // both BIP solves (L-solve)
 };
 
-/// Answers a query tree rooted at kCountStar or kSum: runs the operator
-/// pipeline, formulates the BIP, and computes exact (or time-limited)
-/// lower/upper bounds. `db` is taken by value: evaluation appends derived
-/// variables and constraints that the caller's database should not keep.
+/// Answers a query tree rooted at kCountStar, kSum, kMin or kMax: runs the
+/// operator pipeline, formulates the BIP, and computes exact (or
+/// time-limited) lower/upper bounds. `db` is only read, so any number of
+/// threads may answer against one shared snapshot: the columnar engine
+/// scans the base relations in place and appends derived variables and
+/// constraints to a private copy of the pool and constraint set (same ids,
+/// same order as evaluating on a full copy); the kRow reference engine
+/// evaluates on a private copy of the whole database.
 Result<AggregateAnswer> AnswerAggregate(const rel::QueryNode& query,
-                                        LicmDatabase db,
+                                        const LicmDatabase& db,
                                         const AnswerOptions& options = {});
 
 }  // namespace licm

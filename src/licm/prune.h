@@ -15,7 +15,7 @@
 #ifndef LICM_LICM_PRUNE_H_
 #define LICM_LICM_PRUNE_H_
 
-#include <unordered_set>
+#include <cstdint>
 #include <vector>
 
 #include "licm/constraint.h"
@@ -23,10 +23,13 @@
 namespace licm {
 
 struct PruneResult {
-  /// Constraints reachable from the seed variables.
-  std::vector<LinearConstraint> kept;
-  /// Variables reachable from the seeds (includes the seeds).
-  std::unordered_set<BVar> live;
+  /// Indices of the constraints reachable from the seed variables, in
+  /// constraint order.
+  std::vector<uint32_t> kept;
+  /// Variables reachable from the seeds (includes the seeds), ascending.
+  std::vector<BVar> live;
+  /// is_live[v] != 0 iff v is in `live`; one byte per pool variable.
+  std::vector<uint8_t> is_live;
 
   struct Stats {
     size_t vars_before = 0;

@@ -451,9 +451,10 @@ Result<QueryResponse> QueryService::Process(const Pending& pending,
 
   telemetry::ScopedSpan solve_span("service", "solve");
   StopWatch solve_watch;
-  // AnswerAggregate takes the database by value: each request evaluates
-  // against its own copy, so concurrent requests never share the mutable
-  // variable pool / constraint set the operators append to.
+  // AnswerAggregate only reads the snapshot: the base relations are scanned
+  // in place and each request appends its derived variables and
+  // constraints to a private copy of the pool and constraint set, so
+  // concurrent requests on one snapshot never write shared state.
   auto answer = AnswerAggregate(*request.query, snap.db, options);
   response.solve_ms = solve_watch.ElapsedMs();
   solve_span.End();

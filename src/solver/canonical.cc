@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <string_view>
 
 namespace licm::solver {
 
@@ -46,66 +47,91 @@ void AppendDouble(std::string* out, double d) { AppendU64(out, DoubleBits(d)); }
 
 // Dense re-ranking of arbitrary 64-bit colors, order defined by the color
 // values themselves (so the result is independent of input variable order
-// whenever the colors are).
-void Densify(std::vector<uint64_t>* colors) {
-  std::vector<uint64_t> sorted(*colors);
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+// whenever the colors are). Returns the number of distinct colors;
+// `sorted` is reusable scratch.
+size_t Densify(std::vector<uint64_t>* colors, std::vector<uint64_t>* sorted) {
+  sorted->assign(colors->begin(), colors->end());
+  std::sort(sorted->begin(), sorted->end());
+  sorted->erase(std::unique(sorted->begin(), sorted->end()), sorted->end());
   for (uint64_t& c : *colors) {
     c = static_cast<uint64_t>(
-        std::lower_bound(sorted.begin(), sorted.end(), c) - sorted.begin());
+        std::lower_bound(sorted->begin(), sorted->end(), c) -
+        sorted->begin());
   }
+  return sorted->size();
 }
 
-size_t CountDistinct(const std::vector<uint64_t>& colors) {
-  std::vector<uint64_t> sorted(colors);
-  std::sort(sorted.begin(), sorted.end());
-  return static_cast<size_t>(
-      std::unique(sorted.begin(), sorted.end()) - sorted.begin());
-}
-
-// One refinement sweep: row signatures from variable colors, then variable
-// colors from incident row signatures. One pass over the nonzeros in each
-// direction (plus a per-variable sort of its incident signatures), so a
-// sweep is O(nnz log deg) even on long cardinality rows.
-void RefineOnce(const LinearProgram& lp,
-                std::vector<std::vector<uint64_t>>* buckets,
-                std::vector<uint64_t>* colors) {
-  for (auto& b : *buckets) b.clear();
-  for (const Row& row : lp.rows()) {
-    uint64_t h = Combine(static_cast<uint64_t>(row.op), DoubleBits(row.rhs));
-    std::vector<uint64_t> scratch;
-    scratch.reserve(row.terms.size());
-    for (const Term& t : row.terms) {
-      scratch.push_back(Combine((*colors)[t.var], DoubleBits(t.coef)));
+// Color refinement state, allocated once per Canonicalize and reused by
+// every sweep. Each nonzero owns one bucket slot; a variable's slots are
+// contiguous (CSR), so a sweep writes row signatures straight into place.
+class Refiner {
+ public:
+  explicit Refiner(const LinearProgram& lp)
+      : lp_(lp), slot_begin_(lp.num_vars() + 1, 0) {
+    for (const Row& row : lp.rows()) {
+      for (const Term& t : row.terms) ++slot_begin_[t.var + 1];
     }
-    std::sort(scratch.begin(), scratch.end());
-    for (uint64_t s : scratch) h = Combine(h, s);
-    for (const Term& t : row.terms) {
-      (*buckets)[t.var].push_back(Combine(h, DoubleBits(t.coef)));
+    for (size_t v = 0; v < lp.num_vars(); ++v) {
+      slot_begin_[v + 1] += slot_begin_[v];
+    }
+    buckets_.resize(slot_begin_.back());
+    term_slot_.reserve(buckets_.size());
+    std::vector<uint32_t> fill(slot_begin_.begin(), slot_begin_.end() - 1);
+    for (const Row& row : lp.rows()) {
+      for (const Term& t : row.terms) term_slot_.push_back(fill[t.var]++);
     }
   }
-  for (VarId v = 0; v < colors->size(); ++v) {
-    std::vector<uint64_t>& b = (*buckets)[v];
-    std::sort(b.begin(), b.end());
-    uint64_t h = (*colors)[v];
-    for (uint64_t s : b) h = Combine(h, s);
-    (*colors)[v] = h;
-  }
-  Densify(colors);
-}
 
-void RefineToFixpoint(const LinearProgram& lp,
-                      std::vector<std::vector<uint64_t>>* buckets,
-                      std::vector<uint64_t>* colors) {
-  size_t distinct = CountDistinct(*colors);
-  for (size_t round = 0; round < lp.num_vars(); ++round) {
-    RefineOnce(lp, buckets, colors);
-    const size_t d = CountDistinct(*colors);
-    if (d == distinct || d == lp.num_vars()) return;
-    distinct = d;
+  // Densifies `colors`, then refines them until the partition stops
+  // splitting (or is discrete).
+  void ToFixpoint(std::vector<uint64_t>* colors) {
+    size_t distinct = Densify(colors, &sorted_);
+    for (size_t round = 0; round < lp_.num_vars(); ++round) {
+      const size_t d = RefineOnce(colors);
+      if (d == distinct || d == lp_.num_vars()) return;
+      distinct = d;
+    }
   }
-}
+
+ private:
+  // One refinement sweep: row signatures from variable colors, then
+  // variable colors from incident row signatures. One pass over the
+  // nonzeros in each direction (plus a per-variable sort of its incident
+  // signatures), so a sweep is O(nnz log deg) even on long cardinality
+  // rows. Returns the number of distinct colors after the sweep.
+  size_t RefineOnce(std::vector<uint64_t>* colors) {
+    size_t k = 0;
+    for (const Row& row : lp_.rows()) {
+      uint64_t h =
+          Combine(static_cast<uint64_t>(row.op), DoubleBits(row.rhs));
+      row_sigs_.clear();
+      for (const Term& t : row.terms) {
+        row_sigs_.push_back(Combine((*colors)[t.var], DoubleBits(t.coef)));
+      }
+      std::sort(row_sigs_.begin(), row_sigs_.end());
+      for (uint64_t sig : row_sigs_) h = Combine(h, sig);
+      for (const Term& t : row.terms) {
+        buckets_[term_slot_[k++]] = Combine(h, DoubleBits(t.coef));
+      }
+    }
+    for (VarId v = 0; v < colors->size(); ++v) {
+      const auto first = buckets_.begin() + slot_begin_[v];
+      const auto last = buckets_.begin() + slot_begin_[v + 1];
+      std::sort(first, last);
+      uint64_t h = (*colors)[v];
+      for (auto it = first; it != last; ++it) h = Combine(h, *it);
+      (*colors)[v] = h;
+    }
+    return Densify(colors, &sorted_);
+  }
+
+  const LinearProgram& lp_;
+  std::vector<uint32_t> slot_begin_;  // per variable, num_vars + 1
+  std::vector<uint32_t> term_slot_;   // per nonzero in row-major order
+  std::vector<uint64_t> buckets_;     // per slot: incident row signature
+  std::vector<uint64_t> row_sigs_;
+  std::vector<uint64_t> sorted_;
+};
 
 }  // namespace
 
@@ -123,9 +149,7 @@ CanonicalForm Canonicalize(const LinearProgram& lp) {
     h = Combine(h, DoubleBits(lp.objective_coef(v)));
     colors[v] = h;
   }
-  Densify(&colors);
-  std::vector<std::vector<uint64_t>> buckets(n);
-  RefineToFixpoint(lp, &buckets, &colors);
+  Refiner(lp).ToFixpoint(&colors);
 
   // Canonical position = final color rank, ties broken by input id. Tied
   // variables are automorphic on the structures LICM emits, and the byte
@@ -145,10 +169,40 @@ CanonicalForm Canonicalize(const LinearProgram& lp) {
     input_to_canon[form.canon_to_input[pos]] = static_cast<VarId>(pos);
   }
 
-  // Serialize the relabeled program. Rows are sorted so the form is
-  // independent of row insertion order.
+  // Serialize the relabeled rows into one buffer, then emit them sorted
+  // by their bytes so the form is independent of row insertion order.
+  std::string rows;
+  std::vector<size_t> row_begin;
+  row_begin.reserve(lp.num_rows() + 1);
+  std::vector<std::pair<VarId, double>> terms;
+  for (const Row& row : lp.rows()) {
+    row_begin.push_back(rows.size());
+    terms.clear();
+    for (const Term& t : row.terms) {
+      terms.emplace_back(input_to_canon[t.var], t.coef);
+    }
+    std::sort(terms.begin(), terms.end());
+    rows.push_back(static_cast<char>(row.op));
+    AppendDouble(&rows, row.rhs);
+    AppendU64(&rows, terms.size());
+    for (const auto& [var, coef] : terms) {
+      AppendU64(&rows, var);
+      AppendDouble(&rows, coef);
+    }
+  }
+  row_begin.push_back(rows.size());
+  auto row_bytes = [&rows, &row_begin](size_t r) {
+    return std::string_view(rows).substr(row_begin[r],
+                                         row_begin[r + 1] - row_begin[r]);
+  };
+  std::vector<size_t> order(lp.num_rows());
+  for (size_t r = 0; r < order.size(); ++r) order[r] = r;
+  std::sort(order.begin(), order.end(), [&row_bytes](size_t a, size_t b) {
+    return row_bytes(a) < row_bytes(b);
+  });
+
   std::string& key = form.key;
-  key.reserve(16 + n * 33 + lp.num_rows() * 24);
+  key.reserve(24 + n * 33 + rows.size());
   AppendU64(&key, n);
   AppendU64(&key, lp.num_rows());
   AppendDouble(&key, lp.objective_constant());
@@ -160,27 +214,7 @@ CanonicalForm Canonicalize(const LinearProgram& lp) {
     key.push_back(def.is_integer ? 1 : 0);
     AppendDouble(&key, lp.objective_coef(v));
   }
-  std::vector<std::string> row_bytes;
-  row_bytes.reserve(lp.num_rows());
-  std::vector<std::pair<VarId, double>> terms;
-  for (const Row& row : lp.rows()) {
-    terms.clear();
-    for (const Term& t : row.terms) {
-      terms.emplace_back(input_to_canon[t.var], t.coef);
-    }
-    std::sort(terms.begin(), terms.end());
-    std::string bytes;
-    bytes.push_back(static_cast<char>(row.op));
-    AppendDouble(&bytes, row.rhs);
-    AppendU64(&bytes, terms.size());
-    for (const auto& [var, coef] : terms) {
-      AppendU64(&bytes, var);
-      AppendDouble(&bytes, coef);
-    }
-    row_bytes.push_back(std::move(bytes));
-  }
-  std::sort(row_bytes.begin(), row_bytes.end());
-  for (const std::string& bytes : row_bytes) key += bytes;
+  for (size_t r : order) key += row_bytes(r);
 
   form.hash = HashBytes(key);
   return form;

@@ -296,6 +296,9 @@ class ComponentSearch {
     PropagationScratch scratch;
     std::unique_ptr<IncrementalLp> lp;
     LpBasis seed_basis;  // donor basis for warm-starting
+    // Branching scratch: each row's fixed-term fraction at the current
+    // node.
+    std::vector<double> row_frac;
   };
 
   // Singleton-consistency probing at the root: for every unfixed binary,
@@ -708,6 +711,20 @@ class ComponentSearch {
       // instances this interleaves the two sides of each join so objective
       // variables get decided (and the bound tightens) early in each dive.
       if (branch_var == kNoVar) {
+        // A row's fixed-term fraction is computed once per node, however
+        // many candidates share the row; the per-variable sums add the
+        // same values in the same order, so scores are unchanged.
+        s->row_frac.resize(lp_.num_rows());
+        for (uint32_t r = 0; r < lp_.num_rows(); ++r) {
+          const Row& row = lp_.rows()[r];
+          if (row.terms.empty()) continue;  // in no variable's RowsOf
+          int fixed = 0;
+          for (const Term& t : row.terms) {
+            if (dom.upper[t.var] - dom.lower[t.var] <= 0.5) ++fixed;
+          }
+          s->row_frac[r] = static_cast<double>(fixed) /
+                           static_cast<double>(row.terms.size());
+        }
         double best_score = -1.0;
         for (VarId v = 0; v < lp_.num_vars(); ++v) {
           if (!lp_.vars()[v].is_integer ||
@@ -715,15 +732,7 @@ class ComponentSearch {
             continue;
           }
           double score = 0.0;
-          for (uint32_t r : propagator_.var_rows()[v]) {
-            const Row& row = lp_.rows()[r];
-            int fixed = 0;
-            for (const Term& t : row.terms) {
-              if (dom.upper[t.var] - dom.lower[t.var] <= 0.5) ++fixed;
-            }
-            score += static_cast<double>(fixed) /
-                     static_cast<double>(row.terms.size());
-          }
+          for (uint32_t r : propagator_.RowsOf(v)) score += s->row_frac[r];
           if (score > best_score + 1e-12) {
             best_score = score;
             branch_var = v;

@@ -25,10 +25,19 @@ Domains Domains::FromProgram(const LinearProgram& lp) {
 }
 
 Propagator::Propagator(const LinearProgram& lp)
-    : lp_(lp), var_rows_(lp.num_vars()) {
+    : lp_(lp), var_row_begin_(lp.num_vars() + 1, 0) {
   const auto& rows = lp.rows();
-  for (uint32_t r = 0; r < rows.size(); ++r)
-    for (const Term& t : rows[r].terms) var_rows_[t.var].push_back(r);
+  for (const Row& row : rows) {
+    for (const Term& t : row.terms) ++var_row_begin_[t.var + 1];
+  }
+  for (size_t v = 0; v < lp.num_vars(); ++v) {
+    var_row_begin_[v + 1] += var_row_begin_[v];
+  }
+  var_rows_.resize(var_row_begin_.back());
+  std::vector<uint32_t> fill(var_row_begin_.begin(), var_row_begin_.end() - 1);
+  for (uint32_t r = 0; r < rows.size(); ++r) {
+    for (const Term& t : rows[r].terms) var_rows_[fill[t.var]++] = r;
+  }
 }
 
 PropagateResult Propagate(const LinearProgram& lp, Domains* domains,
@@ -42,7 +51,6 @@ PropagateResult Propagator::Run(Domains* domains,
                                 PropagationScratch* scratch) const {
   const LinearProgram& lp = lp_;
   const auto& rows = lp.rows();
-  const auto& var_rows = var_rows_;
 
   // Worklist: FIFO queue with an epoch-stamped membership test, so a
   // reused scratch needs no clearing between runs.
@@ -69,12 +77,12 @@ PropagateResult Propagator::Run(Domains* domains,
     for (uint32_t r = 0; r < rows.size(); ++r) enqueue_row(r);
   } else {
     for (VarId v : *touched) {
-      for (uint32_t r : var_rows[v]) enqueue_row(r);
+      for (uint32_t r : RowsOf(v)) enqueue_row(r);
     }
   }
 
   auto enqueue_var = [&](VarId v) {
-    for (uint32_t r : var_rows[v]) enqueue_row(r);
+    for (uint32_t r : RowsOf(v)) enqueue_row(r);
   };
 
   while (head < s.queue.size()) {

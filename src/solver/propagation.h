@@ -14,6 +14,7 @@
 #define LICM_SOLVER_PROPAGATION_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "solver/linear_program.h"
@@ -117,14 +118,19 @@ class Propagator {
                       BoundTrail* trail = nullptr,
                       PropagationScratch* scratch = nullptr) const;
 
-  /// Rows mentioning each variable (exposed for branching heuristics).
-  const std::vector<std::vector<uint32_t>>& var_rows() const {
-    return var_rows_;
+  /// Rows mentioning `v`, ascending; a row appears once per term of `v`
+  /// in it. Exposed for branching heuristics.
+  std::span<const uint32_t> RowsOf(VarId v) const {
+    return {var_rows_.data() + var_row_begin_[v],
+            var_row_begin_[v + 1] - var_row_begin_[v]};
   }
 
  private:
   const LinearProgram& lp_;
-  std::vector<std::vector<uint32_t>> var_rows_;
+  // Variable -> rows adjacency as CSR: RowsOf(v) is
+  // var_rows_[var_row_begin_[v] .. var_row_begin_[v + 1]).
+  std::vector<uint32_t> var_row_begin_;
+  std::vector<uint32_t> var_rows_;
 };
 
 /// One-shot convenience wrapper around Propagator.

@@ -287,7 +287,7 @@ TEST(ColumnarLicmDiff, IdenticalLineageAndRelations) {
 
     LicmDatabase col_db = c.db;
     ColumnarLicmContext ctx(OpContext{&col_db.pool(), &col_db.constraints()});
-    auto batch = EvaluateLicmBatch(*c.query->left, &col_db, &ctx);
+    auto batch = EvaluateLicmBatch(*c.query->left, col_db, &ctx);
 
     ASSERT_EQ(row_rel.ok(), batch.ok())
         << "seed " << base_seed + i << ": row="

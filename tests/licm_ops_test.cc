@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/metrics.h"
 #include "licm/aggregate.h"
 #include "licm/evaluator.h"
 #include "licm/worlds.h"
@@ -399,7 +402,7 @@ TEST(Prune, DropsUnreachableGroups) {
   PruneResult pr = Prune(cs, {6}, 7);
   EXPECT_EQ(pr.stats.vars_after, 4u);  // 6, 0, 1, 2 (via cardinality rows)
   EXPECT_EQ(pr.stats.constraints_after, 5u);
-  EXPECT_FALSE(pr.live.contains(3));
+  EXPECT_EQ(pr.is_live[3], 0);
 }
 
 TEST(Prune, ReachesAcrossInterleavedConstraints) {
@@ -414,6 +417,26 @@ TEST(Prune, ReachesAcrossInterleavedConstraints) {
   PruneResult pr = Prune(cs, {0}, 4);
   EXPECT_EQ(pr.stats.vars_after, 4u);
   EXPECT_EQ(pr.stats.constraints_after, cs.size());
+}
+
+TEST(Prune, LiveAscendingMaskMatchesKeptInConstraintOrder) {
+  ConstraintSet cs;
+  cs.AddMutualExclusion(8, 3);  // 0: reachable from 8
+  cs.AddMutualExclusion(0, 1);  // 1: unreachable
+  cs.AddImplication(3, 6);      // 2: reachable via 3
+  cs.AddCoexistence(9, 2);      // 3: unreachable
+  cs.AddImplication(6, 4);      // 4: reachable via 6
+  PruneResult pr = Prune(cs, {8, 6}, 10);
+  EXPECT_EQ(pr.live, (std::vector<BVar>{3, 4, 6, 8}));
+  ASSERT_EQ(pr.is_live.size(), 10u);
+  for (BVar v = 0; v < 10; ++v) {
+    const bool listed =
+        std::find(pr.live.begin(), pr.live.end(), v) != pr.live.end();
+    EXPECT_EQ(pr.is_live[v] != 0, listed) << "var " << v;
+  }
+  EXPECT_EQ(pr.kept, (std::vector<uint32_t>{0, 2, 4}));
+  EXPECT_EQ(pr.stats.vars_after, 4u);
+  EXPECT_EQ(pr.stats.constraints_after, 3u);
 }
 
 TEST(Prune, BoundsIdenticalWithAndWithoutPruning) {
@@ -450,6 +473,65 @@ TEST(Aggregate, InfeasibleConstraintsReported) {
   auto ans = AnswerAggregate(*rel::CountStar(rel::Scan("r")), db);
   ASSERT_FALSE(ans.ok());
   EXPECT_EQ(ans.status().code(), StatusCode::kInfeasible);
+}
+
+// COUNT over one maybe tuple b0, plus a remainder over b1, b2 that
+// pruning drops: b1 + b2 >= 1 and b1 = 0 (and b2 = 0 when `infeasible`).
+// The greedy witness raises b1 first and so violates b1 = 0.
+LicmDatabase GreedyDefeatingRemainder(bool infeasible) {
+  LicmDatabase db;
+  LicmRelation r(TransItemSchema());
+  const BVar b0 = db.pool().New();
+  const BVar b1 = db.pool().New();
+  const BVar b2 = db.pool().New();
+  r.AppendUnchecked({int64_t{1}, std::string("a")}, Ext::Maybe(b0));
+  db.constraints().AddCardinality({b1, b2}, 1, 2);
+  db.constraints().AddFix(b1, 0);
+  if (infeasible) db.constraints().AddFix(b2, 0);
+  LICM_CHECK_OK(db.AddRelation("r", std::move(r)));
+  return db;
+}
+
+int64_t SolvesSoFar() {
+  return metrics::MetricsRegistry::Default()
+      .GetCounter("licm_solver_solves_total")
+      ->Value();
+}
+
+TEST(Aggregate, RemainderWitnessFailureFallsThroughToSolver) {
+  const auto query = rel::CountStar(rel::Scan("r"));
+  AnswerOptions unpruned;
+  unpruned.bounds.prune = false;
+
+  const LicmDatabase feasible = GreedyDefeatingRemainder(false);
+  const int64_t before = SolvesSoFar();
+  auto ans = AnswerAggregate(*query, feasible);
+  const int64_t solves = SolvesSoFar() - before;
+  ASSERT_TRUE(ans.ok()) << ans.status().ToString();
+  EXPECT_EQ(ans->bounds.prune_stats.constraints_after, 0u);
+  EXPECT_EQ(ans->bounds.min.value, 0.0);
+  EXPECT_EQ(ans->bounds.max.value, 1.0);
+  EXPECT_TRUE(ans->bounds.min.exact);
+  EXPECT_TRUE(ans->bounds.max.exact);
+  auto full = AnswerAggregate(*query, feasible, unpruned);
+  ASSERT_TRUE(full.ok());
+  EXPECT_EQ(full->bounds.min.value, ans->bounds.min.value);
+  EXPECT_EQ(full->bounds.max.value, ans->bounds.max.value);
+#if !defined(LICM_METRICS_DISABLED)
+  // One solve for the bounds and one for the remainder: the witness
+  // failed, so the remainder was settled by the solver.
+  EXPECT_EQ(solves, 2);
+#else
+  (void)solves;
+#endif
+
+  const LicmDatabase infeasible = GreedyDefeatingRemainder(true);
+  auto no_world = AnswerAggregate(*query, infeasible);
+  ASSERT_FALSE(no_world.ok());
+  EXPECT_EQ(no_world.status().code(), StatusCode::kInfeasible);
+  auto no_world_full = AnswerAggregate(*query, infeasible, unpruned);
+  ASSERT_FALSE(no_world_full.ok());
+  EXPECT_EQ(no_world_full.status().code(), StatusCode::kInfeasible);
 }
 
 TEST(Aggregate, EmptyRelationGivesZeroBounds) {

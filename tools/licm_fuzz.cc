@@ -6,7 +6,8 @@
 //     Generates N cases from seeds S, S+1, ... and checks every invariant
 //     (or those whose name contains NAME). Each failure is delta-debugged
 //     to a minimal repro written to DIR as fuzz_repro_<seed>.txt plus the
-//     matching .lp export. Exit code 1 when any invariant failed.
+//     matching .lp export. Exit code 1 when any invariant failed, else 2
+//     when the --json file cannot be written.
 //   licm_fuzz --repro FILE [--invariant NAME]
 //     Replays a repro file instead of generating.
 // The default seed honours the LICM_FUZZ_SEED environment variable, so a
@@ -212,6 +213,7 @@ int main(int argc, char** argv) {
                 static_cast<long long>(t.fail));
   }
 
+  bool json_failed = false;
   if (!args.json.empty()) {
     std::vector<licm::bench::JsonRecord> records;
     for (const auto& [name, t] : tally) {
@@ -229,6 +231,7 @@ int main(int argc, char** argv) {
     licm::Status st = licm::bench::WriteBenchJson(args.json, records);
     if (!st.ok()) {
       std::fprintf(stderr, "json write failed: %s\n", st.ToString().c_str());
+      json_failed = true;
     }
   }
 
@@ -238,5 +241,5 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("all invariants held\n");
-  return 0;
+  return json_failed ? 2 : 0;
 }
