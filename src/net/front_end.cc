@@ -246,7 +246,7 @@ void NetFrontEnd::DrainInput(LoopState& state, Conn& conn) {
     }
     return;
   }
-  // Line-JSON codec: identical line discipline to the legacy TcpServer.
+  // Line-JSON codec: the same line discipline as RunBatch.
   size_t start = 0;
   for (size_t nl = conn.in.find('\n', start); nl != std::string::npos;
        nl = conn.in.find('\n', start)) {
@@ -268,15 +268,10 @@ void NetFrontEnd::DispatchRequest(Conn& conn, const service::WireRequest& req) {
   ++conn.inflight;
   const size_t loop_index = conn.loop_index;
   const uint64_t conn_id = conn.id;
-  auto done = [this, loop_index, conn_id](std::string response,
-                                          bool shutdown) {
+  router_->HandleAsync(req, [this, loop_index, conn_id](std::string response,
+                                                        bool shutdown) {
     CompleteOnLoop(loop_index, conn_id, std::move(response), shutdown);
-  };
-  if (dispatch_) {
-    dispatch_(req, std::move(done));
-  } else {
-    router_->HandleAsync(req, std::move(done));
-  }
+  });
 }
 
 void NetFrontEnd::DispatchError(Conn& conn, int64_t id, const Status& error) {
@@ -348,9 +343,7 @@ void NetFrontEnd::TryFlush(LoopState& state, Conn& conn) {
 void NetFrontEnd::MaybeFinish(LoopState& state, Conn& conn) {
   if (!conn.out.empty()) return;
   if (conn.shutdown_after && conn.inflight == 0) {
-    const int fd = conn.fd;
     CloseConn(state, conn);
-    (void)fd;
     Stop();
     return;
   }

@@ -4,17 +4,17 @@
 // assigned round-robin across N event loops. Each loop owns a private
 // connection registry (id -> Conn); a connection's buffers and codec
 // state are only ever touched from its loop thread. Request execution is
-// asynchronous: the loop hands the decoded request to a Dispatch
-// function (default RequestRouter::HandleAsync) and continues serving
-// other connections; the completion closure Post()s the rendered
-// response back to the owning loop, which looks the connection up by id
-// — a connection that died meanwhile simply drops its responses.
+// asynchronous: the loop hands the decoded request to
+// RequestRouter::HandleAsync and continues serving other connections;
+// the completion closure Post()s the rendered response back to the
+// owning loop, which looks the connection up by id — a connection that
+// died meanwhile simply drops its responses.
 //
 // Codec auto-detection: the first byte of a connection decides. 0xB5
 // (kWireMagic, never valid leading JSON) selects the binary framing from
-// net/wire.h; anything else selects the legacy line-JSON codec. Both
-// codecs produce byte-identical response documents because the binary
-// response payload *is* the line-JSON text.
+// net/wire.h; anything else selects the line-JSON codec. Both codecs
+// produce byte-identical response documents because the binary response
+// payload *is* the line-JSON text.
 //
 // Responses complete in solve order, not arrival order — pipelined
 // clients correlate by the echoed `id` field.
@@ -23,7 +23,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -40,26 +39,18 @@ namespace licm::net {
 
 class NetFrontEnd {
  public:
-  /// Receives one decoded request; must call `done(response, shutdown)`
-  /// exactly once (any thread). The default dispatch is
-  /// router->HandleAsync; licm_serve swaps in a coalescing wrapper or a
-  /// shard proxy here.
-  using Dispatch = std::function<void(
-      const service::WireRequest&, std::function<void(std::string, bool)>)>;
-
   struct Options {
     /// Event loop count (>=1); loop 0 also runs the acceptor.
     int num_loops = 1;
   };
 
-  explicit NetFrontEnd(service::RequestRouter* router)
-      : NetFrontEnd(router, Options()) {}
+  /// Completions Post() into the loops, so the front end must outlive
+  /// every request still queued or running in the service behind
+  /// `router` (licm_serve destroys that service first).
   NetFrontEnd(service::RequestRouter* router, Options options);
   ~NetFrontEnd();
   NetFrontEnd(const NetFrontEnd&) = delete;
   NetFrontEnd& operator=(const NetFrontEnd&) = delete;
-
-  void set_dispatch(Dispatch dispatch) { dispatch_ = std::move(dispatch); }
 
   /// Binds and listens (port 0 = ephemeral, see port()).
   Status Listen(const std::string& host, int port);
@@ -113,7 +104,6 @@ class NetFrontEnd {
 
   service::RequestRouter* router_;
   Options options_;
-  Dispatch dispatch_;
 
   int listen_fd_ = -1;
   int port_ = 0;

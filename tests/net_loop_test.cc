@@ -1,8 +1,7 @@
 // Tests of the event-driven data plane (src/net/): epoll loopback
 // sessions in both codecs (including pipelining and byte-at-a-time
-// delivery), the request coalescer's exactly-one-solve guarantee, and
-// consistent-hash ring properties. Socket tests skip when the sandbox
-// forbids binding, mirroring service_test.
+// delivery), and the request coalescer's exactly-one-solve guarantee.
+// Socket tests skip when the sandbox forbids binding.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -11,7 +10,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstring>
-#include <map>
 #include <mutex>
 #include <set>
 #include <string>
@@ -23,7 +21,6 @@
 #include "licm/evaluator.h"
 #include "net/coalescer.h"
 #include "net/front_end.h"
-#include "net/shard_router.h"
 #include "net/wire.h"
 #include "service/json.h"
 #include "service/server.h"
@@ -262,6 +259,95 @@ TEST(NetFrontEnd, ByteAtATimeDeliveryInBothCodecs) {
   });
 }
 
+// A two-connection line-JSON session: ping reports the build's git sha,
+// `instances` lists the loaded instance, both connections query
+// concurrently and match offline, and `shutdown` is acknowledged.
+TEST(Transport, TcpLoopbackSessionIncludingShutdown) {
+  WithFrontEnd(1, [](const Fixture& f, int port) {
+    TestClient c1, c2;
+    ASSERT_TRUE(c1.Connect(port));
+    ASSERT_TRUE(c2.Connect(port));
+
+    auto pong = c1.RoundTripLine("{\"op\":\"ping\",\"id\":1}");
+    ASSERT_TRUE(pong.ok()) << pong.status().ToString();
+    EXPECT_TRUE(pong->GetBool("ok", false).value());
+    EXPECT_FALSE(pong->GetString("git_sha", "").value().empty());
+
+    auto names = c2.RoundTripLine("{\"op\":\"instances\",\"id\":2}");
+    ASSERT_TRUE(names.ok()) << names.status().ToString();
+    const JsonValue* arr = names->Find("instances");
+    ASSERT_NE(nullptr, arr);
+    ASSERT_EQ(1u, arr->array.size());
+    EXPECT_EQ("case", arr->array[0].string);
+
+    // Each connection sends before either reads; both answers must match
+    // offline.
+    ASSERT_TRUE(
+        c1.SendAll("{\"op\":\"query\",\"id\":3,\"instance\":\"case\"}\n"));
+    ASSERT_TRUE(
+        c2.SendAll("{\"op\":\"query\",\"id\":4,\"instance\":\"case\"}\n"));
+    for (TestClient* client : {&c1, &c2}) {
+      auto line = client->RecvLine();
+      ASSERT_TRUE(line.ok()) << line.status().ToString();
+      auto q = ParseJson(*line);
+      ASSERT_TRUE(q.ok());
+      EXPECT_TRUE(q->GetBool("ok", false).value());
+      EXPECT_EQ(f.exact_min, q->GetNumber("min", -1e9).value());
+      EXPECT_EQ(f.exact_max, q->GetNumber("max", -1e9).value());
+    }
+
+    auto bye = c1.RoundTripLine("{\"op\":\"shutdown\",\"id\":5}");
+    ASSERT_TRUE(bye.ok()) << bye.status().ToString();
+    EXPECT_TRUE(bye->GetBool("shutting_down", false).value());
+  });
+}
+
+// Short-read handling for line-JSON: a request dribbled one byte per
+// send(), then several lines in one send() plus a trailing fragment that
+// must stay buffered until its newline arrives. Replies come in
+// completion order, so the pipelined ones are matched by id.
+TEST(Transport, TcpSurvivesByteAtATimeAndPipelinedDelivery) {
+  WithFrontEnd(1, [](const Fixture& f, int port) {
+    TestClient c;
+    ASSERT_TRUE(c.Connect(port));
+    ASSERT_TRUE(c.SendByteAtATime(
+        "{\"op\":\"query\",\"id\":21,\"instance\":\"case\"}\n"));
+    auto dribbled_line = c.RecvLine();
+    ASSERT_TRUE(dribbled_line.ok()) << dribbled_line.status().ToString();
+    auto dribbled = ParseJson(*dribbled_line);
+    ASSERT_TRUE(dribbled.ok());
+    EXPECT_TRUE(dribbled->GetBool("ok", false).value());
+    EXPECT_EQ(21, dribbled->GetInt("id", 0).value());
+    EXPECT_EQ(f.exact_min, dribbled->GetNumber("min", -1e9).value());
+
+    ASSERT_TRUE(c.SendAll(
+        "{\"op\":\"ping\",\"id\":22}\n"
+        "{\"op\":\"query\",\"id\":23,\"instance\":\"case\"}\n"
+        "{\"op\":\"ping\",\"id\":24}\n"
+        "{\"op\":\"ping\","));
+    std::set<int64_t> ids;
+    for (int i = 0; i < 3; ++i) {
+      auto reply_line = c.RecvLine();
+      ASSERT_TRUE(reply_line.ok()) << reply_line.status().ToString();
+      auto reply = ParseJson(*reply_line);
+      ASSERT_TRUE(reply.ok());
+      EXPECT_TRUE(reply->GetBool("ok", false).value());
+      const int64_t id = reply->GetInt("id", 0).value();
+      if (id == 23) {
+        EXPECT_EQ(f.exact_max, reply->GetNumber("max", 1e9).value());
+      }
+      ids.insert(id);
+    }
+    EXPECT_EQ((std::set<int64_t>{22, 23, 24}), ids);
+    ASSERT_TRUE(c.SendAll("\"id\":25}\n"));
+    auto tail_line = c.RecvLine();
+    ASSERT_TRUE(tail_line.ok()) << tail_line.status().ToString();
+    auto tail = ParseJson(*tail_line);
+    ASSERT_TRUE(tail.ok());
+    EXPECT_EQ(25, tail->GetInt("id", 0).value());
+  });
+}
+
 TEST(NetFrontEnd, PipelinedBinaryRequestsAllAnswerById) {
   WithFrontEnd(2, [](const Fixture& f, int port) {
     TestClient c;
@@ -462,56 +548,6 @@ TEST(Coalescer, AdmissionFailureCompletesEveryWaiter) {
                       done_count.fetch_add(1);
                     });
   EXPECT_EQ(1, done_count.load());  // admission failures complete inline
-}
-
-// ------------------------------------------------------------- hash ring --
-
-TEST(HashRing, SingleShardOwnsEverything) {
-  HashRing ring(1);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(0, ring.ShardFor("key" + std::to_string(i)));
-  }
-}
-
-TEST(HashRing, AssignmentIsDeterministicAndCoversAllShards) {
-  HashRing a(4), b(4);
-  std::set<int> seen;
-  for (int i = 0; i < 400; ++i) {
-    const std::string key = "instance-" + std::to_string(i);
-    const int shard = a.ShardFor(key);
-    EXPECT_EQ(shard, b.ShardFor(key));
-    ASSERT_GE(shard, 0);
-    ASSERT_LT(shard, 4);
-    seen.insert(shard);
-  }
-  EXPECT_EQ(4u, seen.size());
-}
-
-TEST(HashRing, GrowingTheRingMovesFewKeys) {
-  // Consistent hashing's point: going 4 -> 5 shards relocates roughly
-  // 1/5 of keys, not all of them (modulo hashing would move ~4/5).
-  HashRing four(4), five(5);
-  int moved = 0;
-  const int kKeys = 2000;
-  for (int i = 0; i < kKeys; ++i) {
-    const std::string key = "instance-" + std::to_string(i);
-    if (four.ShardFor(key) != five.ShardFor(key)) ++moved;
-  }
-  EXPECT_LT(moved, kKeys / 2);
-  EXPECT_GT(moved, 0);
-}
-
-TEST(HashRing, LoadIsRoughlyBalanced) {
-  HashRing ring(4, 64);
-  std::map<int, int> counts;
-  const int kKeys = 4000;
-  for (int i = 0; i < kKeys; ++i) {
-    ++counts[ring.ShardFor("key-" + std::to_string(i))];
-  }
-  for (const auto& [shard, count] : counts) {
-    EXPECT_GT(count, kKeys / 16) << "shard " << shard << " starved";
-    EXPECT_LT(count, kKeys / 2) << "shard " << shard << " overloaded";
-  }
 }
 
 }  // namespace

@@ -31,8 +31,7 @@ const std::unordered_set<std::string>& IdentitySet() {
       "q1_pa_max_loc",
       "requested_threads", "connections", "requests",
       "requests_per_connection", "burst", "mode",
-      "frontend", "codec", "shards", "max_outstanding", "offered_rps",
-      "duration_s",
+      "codec", "max_outstanding", "offered_rps", "duration_s",
   };
   return kSet;
 }
